@@ -9,16 +9,13 @@ from .homology import (betti_numbers, compute_h1_basis, dual_cocycle,
                        homology_map_matrix)
 from .linalg import (ConeDescription, Ray, enumerate_extreme_rays,
                      remove_redundant_points, solve_lp)
-from .normball import (NormBall, Pipeline, ProjectiveVertex,
-                       check_zero_efficiency, evaluate_norm,
-                       find_taut_representative, norm_ball,
-                       project_solution_space)
+from .normball import NormBall, Pipeline, ProjectiveVertex, evaluate_norm
 from .surfaces import (NormalSurface, add_compatible,
                        assign_transverse_orientation,
                        is_algebraically_aspherical, reconstruct_surface)
 from .triangulation import (Triangulation, InvalidTriangulation,
                             TriangulationError, compute_skeleton,
-                            double_tetrahedron, parse_triangulation,
-                            triangulation_from_json, validate_and_orient)
+                            parse_triangulation, triangulation_from_json,
+                            validate_and_orient)
 
 __version__ = "0.1.0"

@@ -12,9 +12,9 @@ import json
 import logging
 import sys
 
-from .coords import NormalVector, num_coords
-from .homology import betti_numbers
-from .normball import DegenerateNormBall, NormBallError, Pipeline
+from .coords import NormalVector, forget_orientation, num_coords
+from .normball import (DegenerateNormBall, NormBallError, Pipeline,
+                       evaluate_norm)
 from .rat import format_fraction, format_vector
 from .surfaces import reconstruct_surface
 from .triangulation import (InvalidTriangulation, TriangulationError,
@@ -83,7 +83,7 @@ def cmd_validate(args):
 
 def cmd_enumerate(args):
     tri, _ = _load_triangulation(args.file)
-    pipe = Pipeline(tri, threads=args.threads)
+    pipe = Pipeline(tri)
     verts = pipe.enumerate_vertices(oriented=not args.unoriented)
     _dump({"oriented": not args.unoriented,
            "vertices": [_vertex_entry(v) for v in verts]})
@@ -92,7 +92,7 @@ def cmd_enumerate(args):
 
 def cmd_ball(args):
     tri, _ = _load_triangulation(args.file)
-    pipe = Pipeline(tri, threads=args.threads)
+    pipe = Pipeline(tri)
     ball = pipe.norm_ball(args.variant)
     warnings = pipe.hypothesis_warnings(ball)
     out = {
@@ -134,11 +134,11 @@ def _parse_class(text, b):
 
 def cmd_norm(args):
     tri, _ = _load_triangulation(args.file)
-    pipe = Pipeline(tri, threads=args.threads)
+    pipe = Pipeline(tri)
     ball = pipe.norm_ball("strict")
     alpha = _parse_class(args.cls, ball.b)
     try:
-        value = pipe.evaluate_norm(ball, alpha)
+        value = evaluate_norm(ball, alpha)
     except DegenerateNormBall as e:
         raise CliError("degenerate-norm-ball", str(e), exit_code=2)
     _dump({"class": alpha, "norm": format_fraction(value)})
@@ -149,14 +149,16 @@ def cmd_surface(args):
     tri, _ = _load_triangulation(args.file)
     try:
         obj = json.loads(args.coords)
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
         x = NormalVector.from_json_obj(obj)
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as e:
         raise CliError("bad-coords", "cannot parse coordinates: %s" % e)
-    if x.oriented:
-        from .coords import forget_orientation
-        x = forget_orientation(x)
-    if len(x.coords) != num_coords(tri.num_tets, False):
+    if len(x.coords) != num_coords(tri.num_tets, x.oriented):
         raise CliError("bad-coords", "coordinate length mismatch")
+    if x.oriented:
+        x = forget_orientation(x)
     try:
         surface = reconstruct_surface(tri, x)
     except ValueError as e:
@@ -167,9 +169,8 @@ def cmd_surface(args):
 
 def cmd_representative(args):
     tri, _ = _load_triangulation(args.file)
-    pipe = Pipeline(tri, threads=args.threads)
-    ball = pipe.norm_ball("strict")
-    alpha = _parse_class(args.cls, ball.b)
+    pipe = Pipeline(tri)
+    alpha = _parse_class(args.cls, pipe.hmap.b)
     try:
         rep = pipe.find_taut_representative(alpha, args.max_weight)
     except DegenerateNormBall as e:
@@ -191,7 +192,7 @@ def cmd_representative(args):
 
 def cmd_efficiency(args):
     tri, _ = _load_triangulation(args.file)
-    pipe = Pipeline(tri, threads=args.threads)
+    pipe = Pipeline(tri)
     result = pipe.check_zero_efficiency()
     out = {"status": result["status"]}
     if result["status"] == "counterexample":
@@ -208,9 +209,6 @@ def build_parser():
         prog="thurston",
         description="Thurston norm unit balls of closed triangulated "
                     "3-manifolds via transversely oriented normal surfaces")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-vertex tagging "
-                             "(output is identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a gluing file")

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coords import (disc_index, quad_arc_sign_factor, quad_kind_for_arc,
                      num_coords)
-from .linalg import invert_matrix, nullspace, rank_int, rref, solve_linear
+from .linalg import invert_matrix, nullspace, rank_int, solve_linear
 from .rat import primitive_integer_vector
 from .triangulation import EDGES, EDGE_INDEX, FACE_CORNERS
 
@@ -74,7 +74,8 @@ def cochain_complex(tri):
     dd1 = [[d2[j][i] for j in range(ne)] for i in range(nf)]
     cx = CochainComplex(d0, dd1, nv, ne, nf)
     for row in _mat_mul(cx.d1, cx.d0):
-        assert all(x == 0 for x in row), "d1 . d0 != 0"
+        if any(x != 0 for x in row):
+            raise ArithmeticError("d1 . d0 != 0")
     return cx
 
 
@@ -91,8 +92,8 @@ def betti_numbers(tri):
     orientable manifold b2 = b1 and b3 = b0."""
     d1, d2 = boundary_matrices(tri)
     ne = len(d2)
-    r1 = rank_int(d1) if d1 else 0
-    r2 = rank_int(d2) if d2 else 0
+    r1 = rank_int(d1)
+    r2 = rank_int(d2)
     b0 = len(d1) - r1
     b1 = ne - r1 - r2
     return b0, b1
@@ -123,15 +124,13 @@ def compute_h1_basis(tri):
     """
     cx = cochain_complex(tri)
     ne = cx.num_edges
-    kernel = nullspace(cx.d1, ne) if cx.d1 else \
-        [tuple(Fraction(1 if j == i else 0) for j in range(ne))
-         for i in range(ne)]
+    kernel = nullspace(cx.d1, ne)
     image_cols = [tuple(Fraction(cx.d0[i][j]) for i in range(ne))
                   for j in range(cx.num_vertices)]
     chosen = _greedy_column_basis(image_cols, ne)
     basis = []
     for v in kernel:
-        if _rank_of(chosen + basis + [v]) > len(chosen) + len(basis):
+        if rank_int(chosen + basis + [v]) > len(chosen) + len(basis):
             basis.append(v)
     b = len(basis)
     basis = [tuple(Fraction(x) for x in primitive_integer_vector(v))
@@ -141,7 +140,7 @@ def compute_h1_basis(tri):
         e = tuple(Fraction(1 if j == i else 0) for j in range(ne))
         if len(full) == ne:
             break
-        if _rank_of(full + [e]) > len(full):
+        if rank_int(full + [e]) > len(full):
             full.append(e)
     assert len(full) == ne
     inv = invert_matrix([[full[c][r] for c in range(ne)]
@@ -156,15 +155,9 @@ def _greedy_column_basis(cols, dim):
     for v in cols:
         if all(x == 0 for x in v):
             continue
-        if _rank_of(chosen + [v]) > len(chosen):
+        if rank_int(chosen + [v]) > len(chosen):
             chosen.append(v)
     return chosen
-
-
-def _rank_of(vectors):
-    if not vectors:
-        return 0
-    return rank_int(vectors)
 
 
 def edge_intersection_matrix(tri):
@@ -202,14 +195,15 @@ def edge_intersection_matrix(tri):
 
 def dual_cocycle(tri, matching, x):
     """The edge-indexed signed intersection vector of an oriented kernel
-    element, asserted to be a 1-cocycle."""
+    element, checked to be a 1-cocycle."""
     assert x.oriented
     if not matching.is_in_kernel(x.coords):
         raise ValueError("matching equations violated")
     z = _apply_rows(edge_intersection_matrix(tri), x.coords)
     cx = cochain_complex(tri)
     for row in cx.d1:
-        assert sum(a * v for a, v in zip(row, z)) == 0, "not a cocycle"
+        if sum(a * v for a, v in zip(row, z)) != 0:
+            raise ArithmeticError("not a cocycle")
     return z
 
 

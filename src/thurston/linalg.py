@@ -4,7 +4,7 @@ Extreme-ray enumeration for cones {x >= 0 : Ax = 0} by the double
 description method, exact two-phase simplex with verified dual
 certificates, and convex-hull redundancy removal by per-point linear
 programming.  No floating point anywhere: matrices are integers or
-Fractions and every identity asserted here is exact.
+Fractions and every identity checked here is exact.
 """
 
 from dataclasses import dataclass, field
@@ -14,34 +14,6 @@ from math import gcd
 
 # ---------------------------------------------------------------------------
 # exact matrix utilities
-
-
-def rank_int(rows):
-    """Rank of an integer (or rational) matrix by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        piv = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [inv * x for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
 
 
 def rref(rows):
@@ -70,6 +42,11 @@ def rref(rows):
         if row == len(m):
             break
     return m, pivots
+
+
+def rank_int(rows):
+    """Rank of a rational matrix: the pivot count of its echelon form."""
+    return len(rref(rows)[1])
 
 
 def nullspace(rows, ncols):
@@ -160,12 +137,18 @@ def enumerate_extreme_rays(cone):
     Double description: start from the nonnegative orthant (rays e_i) and
     intersect with each hyperplane a.x = 0 in turn, keeping incident rays
     and combining adjacent rays from opposite open sides.  Hyperplanes are
-    inserted in lexicographic order of their rows; adjacency of two rays in
-    the current cone is decided by the exact rank test
-    rank(A'[:, S]) == |S| - 2 with S the union of supports and A' the rows
-    already processed.  Two sound rejections run first: |S| - 2 cannot
-    exceed the processed row count, and in a pointed cone a third ray whose
-    support lies inside S witnesses a face of dimension at least 3.
+    inserted in lexicographic order of their rows.  Adjacency of two rays
+    in the current cone is decided combinatorially: with S the union of
+    their supports, the pair is adjacent exactly when no third current ray
+    has its support inside S.  The cone lies in the orthant, so it is
+    pointed, and the current rays are exactly its extreme rays, one per
+    support; under these two conditions the combinatorial test is exact
+    (Fukuda and Prodon, "Double description method revisited", 1996).  A
+    new ray lies inside the 2-face its pair spans, which no other pair
+    spans, so the new rays need no deduplication.  A cheaper necessary
+    condition runs first: the face spanned by S has
+    dimension at least |S| minus the processed row count, so a pair with
+    |S| - 2 above that count is not adjacent.
     """
     dim = cone.dim
     rows = sorted(set(tuple(int(x) for x in r) for r in cone.rows
@@ -173,26 +156,19 @@ def enumerate_extreme_rays(cone):
     rays = [tuple(1 if j == i else 0 for j in range(dim))
             for i in range(dim)]
     masks = [1 << i for i in range(dim)]
-    processed = []
-    for a in rows:
+    for nproc, a in enumerate(rows):
         vals = [sum(c * x for c, x in zip(a, r)) for r in rays]
         zero = [(r, m) for r, m, v in zip(rays, masks, vals) if v == 0]
         pos = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v > 0]
         neg = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v < 0]
         new = list(zero)
-        seen_supports = {m for _, m in zero}
-        all_masks = [m for _, m in zero] + [m for _, m, _ in pos] + \
-            [m for _, m, _ in neg]
-        nproc = len(processed)
         for rp, mp, vp in pos:
             for rn, mn, vn in neg:
                 union = mp | mn
                 if union.bit_count() - 2 > nproc:
                     continue
                 if any(m != mp and m != mn and m & union == m
-                       for m in all_masks):
-                    continue
-                if not _adjacent(processed, union, dim):
+                       for m in masks):
                     continue
                 comb = _normalize_int_vector(
                     [vp * b - vn * c for c, b in zip(rp, rn)])
@@ -200,53 +176,10 @@ def enumerate_extreme_rays(cone):
                 for i, x in enumerate(comb):
                     if x:
                         supp |= 1 << i
-                if supp not in seen_supports:
-                    seen_supports.add(supp)
-                    new.append((comb, supp))
+                new.append((comb, supp))
         rays = [r for r, _ in new]
         masks = [m for _, m in new]
-        processed.append(a)
     return sorted(Ray.from_vector(r) for r in rays)
-
-
-def _adjacent(processed_rows, union_mask, dim):
-    """Rank test: the face of the current cone spanned by coordinates in
-    the support union is 2-dimensional."""
-    cols = [j for j in range(dim) if union_mask >> j & 1]
-    sub = [[row[j] for j in cols] for row in processed_rows]
-    return len(cols) - rank_int_bareiss(sub) == 2
-
-
-def rank_int_bareiss(rows):
-    """Rank of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pval = m[row][col]
-        for r in range(row + 1, nrows):
-            f = m[r][col]
-            mr = m[r]
-            mrow = m[row]
-            for cc in range(col, ncols):
-                mr[cc] = (pval * mr[cc] - f * mrow[cc]) // prev
-        prev = pval
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
 
 
 def is_extreme_ray(cone, coords):
@@ -369,8 +302,8 @@ def _simplex_standard(a, b, c):
     t = _Tableau(a1, b, c1)
     for i in range(m):
         t.basis[i] = art[i]
-    status = t.solve()
-    assert status == "optimal"
+    if t.solve() != "optimal":
+        raise ArithmeticError("phase 1 objective unbounded")
     if t.objective() != 0:
         return "infeasible", None, None, None
     # Drive remaining artificials out of the basis; drop redundant rows.
@@ -401,12 +334,14 @@ def _simplex_standard(a, b, c):
     basis_cols = t2.basis
     sys = [[a2[i][j] for i in range(len(a2))] for j in basis_cols]
     y = solve_linear(sys, [c[j] for j in basis_cols])
-    assert y is not None
+    if y is None:
+        raise ArithmeticError("final basis is singular")
     for j in range(n):
         red = c[j] - sum(yi * row[j] for yi, row in zip(y, a2))
-        assert red <= 0, "dual certificate violated"
-    assert sum(yi * bi for yi, bi in zip(y, b2)) == value, \
-        "dual objective mismatch"
+        if red > 0:
+            raise ArithmeticError("dual certificate violated")
+    if sum(yi * bi for yi, bi in zip(y, b2)) != value:
+        raise ArithmeticError("dual objective mismatch")
     return "optimal", value, tuple(x), tuple(y)
 
 

@@ -10,7 +10,6 @@ directions, whose homology classes certify a failed atoroidality
 hypothesis when nonzero.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -63,13 +62,11 @@ class NormBall:
 class Pipeline:
     """Caches the derived systems of one triangulation across operations.
 
-    Stages are pure; `threads` only sizes the worker pool used for
-    per-vertex tagging and never affects output order.
+    Every stage is pure, so the cache never changes an output.
     """
 
-    def __init__(self, tri, threads=1):
+    def __init__(self, tri):
         self.tri = tri
-        self.threads = max(1, threads)
 
     @cached_property
     def matching_oriented(self):
@@ -115,22 +112,14 @@ class Pipeline:
         """Sum-one normalizations of the extreme rays of the chosen cone,
         tagged with Euler functional value and admissibility."""
         rays = self.oriented_rays if oriented else self.unoriented_rays
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                return list(pool.map(
-                    lambda r: self._tag_vertex(r, oriented), rays))
         return [self._tag_vertex(r, oriented) for r in rays]
-
-    def project_solution_space(self):
-        """Vertices of the oriented projective solution space."""
-        return self.enumerate_vertices(oriented=True)
 
     def build_B(self, variant="strict"):
         """Scaled vertex sets: (B_vertices, recession_vertices)."""
         assert variant in ("strict", "le")
         bverts = []
         recession = []
-        for v in self.project_solution_space():
+        for v in self.enumerate_vertices(True):
             if not v.admissible:
                 continue
             if v.chi < 0:
@@ -153,9 +142,6 @@ class Pipeline:
         return NormBall(variant, b, [list(v) for v in hmap.h1.basis],
                         bverts, ball, recession, rec_classes, hmap)
 
-    def evaluate_norm(self, ball, c):
-        return evaluate_norm(ball, c)
-
     # -- representative search ---------------------------------------------
 
     def find_taut_representative(self, alpha, w_max):
@@ -177,7 +163,7 @@ class Pipeline:
             zero = NormalVector((0,) * num_coords(self.tri.num_tets, True),
                                 True)
             return TautRepresentative(zero, None, Fraction(0), 0)
-        norm = self.evaluate_norm(ball, alpha)
+        norm = evaluate_norm(ball, alpha)
         target_chi = -norm
         n = num_coords(self.tri.num_tets, True)
 
@@ -341,20 +327,6 @@ class TautRepresentative:
     weight: int
 
 
-# Module-level wrappers for one-shot use.
-
-def project_solution_space(tri):
-    return Pipeline(tri).project_solution_space()
-
-
-def build_B(tri, variant="strict"):
-    return Pipeline(tri).build_B(variant)
-
-
-def norm_ball(tri, variant="strict"):
-    return Pipeline(tri).norm_ball(variant)
-
-
 def evaluate_norm(ball, c):
     """The norm of a class in basis coordinates, as the gauge of the
     computed unit ball: the least total mass of a nonnegative combination
@@ -373,11 +345,3 @@ def evaluate_norm(ball, c):
     if not res.optimal:
         raise DegenerateNormBall("norm ball degenerate or hypotheses violated")
     return res.value
-
-
-def find_taut_representative(tri, alpha, w_max):
-    return Pipeline(tri).find_taut_representative(alpha, w_max)
-
-
-def check_zero_efficiency(tri):
-    return Pipeline(tri).check_zero_efficiency()

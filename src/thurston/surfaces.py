@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chi import chi_star_coefficients
 from .coords import (NormalVector, build_matching_system, conflicting_quads,
-                     disc_index, forget_orientation, is_admissible,
+                     disc_edges, disc_index, forget_orientation, is_admissible,
                      is_compatible, quad_arc_sign_factor, quad_kind_for_arc,
                      QUAD_PAIR, TRI_KINDS)
 from .linalg import solve_lp
@@ -206,7 +206,7 @@ def _split_components(tri, surface, gluings):
     # under the identifications induced by the glued arcs.
     corner_ids = {}
     for i, (tet, kind, _) in enumerate(discs):
-        for pair in _disc_edge_pairs(kind):
+        for pair in disc_edges(kind):
             corner_ids[(i, EDGE_INDEX[pair])] = len(corner_ids)
     cuf = _UnionFind(len(corner_ids))
     for da, f_a, db, f_b, _, corner in gluings:
@@ -245,14 +245,6 @@ def _split_components(tri, surface, gluings):
         components.append(SurfaceComponent(
             ids, chi, orientable, vl, vc, genus))
     surface.components = components
-
-
-def _disc_edge_pairs(kind):
-    if kind in TRI_KINDS:
-        return tuple((kind, w) for w in range(4) if w != kind)
-    a, b = QUAD_PAIR[kind]
-    c, d = {4: (2, 3), 5: (1, 3), 6: (1, 2)}[kind]
-    return ((a, c), (a, d), (b, c), (b, d))
 
 
 def _vertex_linking(tri, surface, ids):
@@ -328,7 +320,8 @@ def is_algebraically_aspherical(tri, x, matching=None):
     rhs = [0] * len(matching.rows)
     bounds = [(Fraction(0), c) for c in x.coords]
     res = solve_lp(list(objective), (list(matching.rows), rhs), bounds)
-    assert res.optimal
+    if not res.optimal:
+        raise ArithmeticError("bounded feasible LP reported %s" % res.status)
     return res.value <= 0
 
 

@@ -17,7 +17,6 @@ decided here.
 """
 
 import json
-from itertools import combinations
 
 # The six edges of a tetrahedron, as ordered pairs a < b; the edge index of
 # {a, b} is EDGE_INDEX[a, b].  Face i is opposite vertex i; its corners are
@@ -228,6 +227,21 @@ def _corner_orbits(items, neighbours):
     return cls, classes
 
 
+def _vertex_orbits(tri):
+    """Orbits of tetrahedron corners (tet, v): the vertex classes."""
+    def neighbours(item):
+        tet, v = item
+        out = []
+        for f in range(4):
+            if f != v:
+                g = tri.gluings[tet][f]
+                out.append((g.tet, g.perm[v]))
+        return out
+
+    corners = [(tet, v) for tet in range(tri.num_tets) for v in range(4)]
+    return _corner_orbits(corners, neighbours)
+
+
 def _edge_orbits_directed(tri):
     """Orbits of directed edges (tet, (a, b)); used to orient edge classes
     and to reject edges identified with themselves in reverse."""
@@ -287,17 +301,7 @@ def _check_vertex_links(tri, report):
     (tet, v, f) paired across face gluings, and its vertices are the orbits
     of (tet, v, w) for edges {v, w}, so chi = V - 3F/2 + F.
     """
-    def corner_neighbours(item):
-        tet, v = item
-        out = []
-        for f in range(4):
-            if f != v:
-                g = tri.gluings[tet][f]
-                out.append((g.tet, g.perm[v]))
-        return out
-
-    corners = [(tet, v) for tet in range(tri.num_tets) for v in range(4)]
-    _, vclasses = _corner_orbits(corners, corner_neighbours)
+    _, vclasses = _vertex_orbits(tri)
 
     def linkvert_neighbours(item):
         tet, v, w = item
@@ -332,18 +336,7 @@ def compute_skeleton(tri):
     direction for every edge class.  Classes are numbered by their smallest
     (tet, index) representative; an edge class is directed by the ordered
     pair of its representative (EDGES pairs are increasing)."""
-    def corner_neighbours(item):
-        tet, v = item
-        out = []
-        for f in range(4):
-            if f != v:
-                g = tri.gluings[tet][f]
-                out.append((g.tet, g.perm[v]))
-        return out
-
-    corners = [(tet, v) for tet in range(tri.num_tets) for v in range(4)]
-    tri.vertex_class, tri.vertex_classes = _corner_orbits(
-        corners, corner_neighbours)
+    tri.vertex_class, tri.vertex_classes = _vertex_orbits(tri)
 
     dir_cls, dir_classes = _edge_orbits_directed(tri)
     # Undirected classes keyed by (tet, edge index), ordered by smallest
@@ -415,13 +408,3 @@ def is_simplicial(tri):
         if shared[key] > 1:
             return False
     return True
-
-
-def double_tetrahedron():
-    """The doubled tetrahedron: two tetrahedra glued along all four faces
-    by the identity, a 2-tetrahedron triangulation of the 3-sphere."""
-    text = json.dumps({"tets": [
-        [[1, "0123"], [1, "0123"], [1, "0123"], [1, "0123"]],
-        [[0, "0123"], [0, "0123"], [0, "0123"], [0, "0123"]],
-    ]})
-    return triangulation_from_json(text)

@@ -8,12 +8,12 @@ from thurston.coords import (
     NormalVector, build_matching_system, disc_index, forget_orientation,
     reverse_orientation, vertex_linking_vector,
 )
-from thurston.triangulation import double_tetrahedron
+from thurston.fixtures import load
 
 
 @pytest.fixture(scope="module")
 def d2():
-    return double_tetrahedron()
+    return load("d2")
 
 
 def test_single_disc_values_on_d2(d2):

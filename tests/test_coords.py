@@ -9,12 +9,12 @@ from thurston.coords import (
     vertex_linking_vector, quad_kind_separating, QUAD_PAIR, QUAD_OPP,
 )
 from thurston.linalg import nullspace
-from thurston.triangulation import double_tetrahedron
+from thurston.fixtures import load
 
 
 @pytest.fixture(scope="module")
 def d2():
-    return double_tetrahedron()
+    return load("d2")
 
 
 def test_disc_type_counts(d2):

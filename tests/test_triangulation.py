@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from thurston.fixtures import load
 from thurston.triangulation import (
-    InvalidTriangulation, TriangulationError, double_tetrahedron,
-    parse_triangulation, validate_and_orient, compute_skeleton,
-    triangulation_from_json, is_simplicial, perm_sign,
+    InvalidTriangulation, TriangulationError, parse_triangulation,
+    validate_and_orient, compute_skeleton, triangulation_from_json,
+    is_simplicial, perm_sign,
 )
 
 
@@ -98,14 +99,14 @@ def test_d2_skeleton_counts():
 
 
 def test_closed_counting_identities():
-    tri = double_tetrahedron()
+    tri = load("d2")
     t = tri.num_tets
     assert len(tri.face_classes) == 2 * t
     assert sum(tri.degrees) == 6 * t
 
 
 def test_involution_property():
-    tri = double_tetrahedron()
+    tri = load("d2")
     for tet in range(tri.num_tets):
         for face in range(4):
             g = tri.gluing(tet, face)
@@ -115,7 +116,7 @@ def test_involution_property():
 
 
 def test_orientation_parity_per_gluing():
-    tri = double_tetrahedron()
+    tri = load("d2")
     for tet in range(tri.num_tets):
         for face in range(4):
             g = tri.gluing(tet, face)
@@ -135,5 +136,5 @@ def test_skeleton_deterministic():
 def test_d2_not_simplicial():
     # Two tetrahedra sharing all four faces do not form a simplicial
     # complex even though every simplex embeds.
-    tri = double_tetrahedron()
+    tri = load("d2")
     assert not is_simplicial(tri)
