@@ -252,10 +252,17 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def run(argv):
+    """One command; the parser is built on the first call of a process
+    and reused by later ones."""
+    global _parser
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as e:

@@ -18,6 +18,8 @@ inducing the arc agrees on the two sides of the face.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .rat import format_vector, parse_vector
 from .triangulation import FACE_CORNERS
@@ -109,7 +111,9 @@ class NormalVector:
                            tuple(Fraction(c) for c in self.coords))
 
     def __add__(self, other):
-        assert self.oriented == other.oriented
+        if self.oriented != other.oriented or \
+                len(self.coords) != len(other.coords):
+            raise ValueError("vectors live in different theories")
         return NormalVector(tuple(a + b for a, b in
                                   zip(self.coords, other.coords)),
                             self.oriented)
@@ -166,9 +170,20 @@ class MatchingSystem:
     oriented: bool
     num_cols: int
 
+    @cached_property
+    def sparse_rows(self):
+        """Each row as its (column, coefficient) pairs with nonzero
+        coefficient: four per row, against 7t or 14t columns."""
+        return [tuple((j, a) for j, a in enumerate(row) if a)
+                for row in self.rows]
+
     def is_in_kernel(self, coords):
-        return all(sum(a * x for a, x in zip(row, coords)) == 0
-                   for row in self.rows)
+        """Exact membership of a rational vector.  The kernel is a linear
+        subspace, so the vector is first scaled to integers."""
+        den = lcm(*(x.denominator for x in coords))
+        ints = [x.numerator * (den // x.denominator) for x in coords]
+        return all(sum(a * ints[j] for j, a in row) == 0
+                   for row in self.sparse_rows)
 
 
 def _arc_disc_columns(tet, face, corner, sign, oriented):
@@ -226,7 +241,8 @@ def build_matching_system(tri, oriented=True):
 def forget_orientation(x):
     """The linear map adding the two transverse orientations of each disc
     kind; sends the oriented matching kernel into the unoriented one."""
-    assert x.oriented
+    if not x.oriented:
+        raise ValueError("expected oriented coordinates")
     coords = []
     for i in range(0, len(x.coords), 2):
         coords.append(x.coords[i] + x.coords[i + 1])
@@ -235,7 +251,8 @@ def forget_orientation(x):
 
 def reverse_orientation(x):
     """The involution swapping the two orientations of every disc type."""
-    assert x.oriented
+    if not x.oriented:
+        raise ValueError("expected oriented coordinates")
     coords = list(x.coords)
     for i in range(0, len(coords), 2):
         coords[i], coords[i + 1] = coords[i + 1], coords[i]
@@ -267,9 +284,34 @@ def is_admissible(x):
     return True
 
 
+def quad_conflict_test(num_tets, oriented):
+    """Support-bitmask form of inadmissibility: a predicate true on a
+    mask (bit i for coordinate i) when some tetrahedron carries two quad
+    kinds, both orientations of one kind counting as that kind, as in
+    is_admissible.  It is monotone: a superset of a conflicting support
+    conflicts.
+
+    In the oriented theory each -1 bit is first folded onto its +1 bit;
+    then shifting by a quad kind's offset in the tetrahedron block brings
+    that kind of every tetrahedron onto the block's first bit, so three
+    ANDs test all tetrahedra at once.
+    """
+    block = num_coords(1, oriented)
+    tets = sum(1 << (block * tet) for tet in range(num_tets))
+    sa, sb, sc = (disc_index(0, k, 1, oriented) for k in QUAD_KINDS)
+
+    def conflict(mask):
+        if oriented:
+            mask |= mask >> 1
+        a = (mask >> sa) & tets
+        b = (mask >> sb) & tets
+        c = (mask >> sc) & tets
+        return bool(a & (b | c) | b & c)
+
+    return conflict
+
+
 def is_compatible(x, y):
-    if x.oriented != y.oriented or len(x.coords) != len(y.coords):
-        raise ValueError("vectors live in different theories")
     return is_admissible(x + y)
 
 

@@ -196,7 +196,8 @@ def edge_intersection_matrix(tri):
 def dual_cocycle(tri, matching, x):
     """The edge-indexed signed intersection vector of an oriented kernel
     element, checked to be a 1-cocycle."""
-    assert x.oriented
+    if not x.oriented:
+        raise ValueError("expected oriented coordinates")
     if not matching.is_in_kernel(x.coords):
         raise ValueError("matching equations violated")
     z = _apply_rows(edge_intersection_matrix(tri), x.coords)
@@ -227,7 +228,8 @@ class HomologyMapMatrix:
     b: int
 
     def class_of(self, x):
-        assert x.oriented
+        if not x.oriented:
+            raise ValueError("expected oriented coordinates")
         return tuple(sum(a * v for a, v in zip(row, x.coords))
                      for row in self.rows)
 

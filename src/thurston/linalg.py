@@ -101,10 +101,8 @@ def invert_matrix(rows):
 
 
 def _normalize_int_vector(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g == 0:
+    g = gcd(*v)
+    if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
 
@@ -130,34 +128,52 @@ class ConeDescription:
     dim: int
 
 
-def enumerate_extreme_rays(cone):
+def enumerate_extreme_rays(cone, reject=None):
     """All extreme rays of {x >= 0 : Ax = 0}, one canonical representative
-    each, sorted by coordinates.
+    each, sorted by coordinates; with `reject`, only those whose support
+    it accepts.
 
     Double description: start from the nonnegative orthant (rays e_i) and
     intersect with each hyperplane a.x = 0 in turn, keeping incident rays
     and combining adjacent rays from opposite open sides.  Hyperplanes are
-    inserted in lexicographic order of their rows.  Adjacency of two rays
-    in the current cone is decided combinatorially: with S the union of
-    their supports, the pair is adjacent exactly when no third current ray
-    has its support inside S.  The cone lies in the orthant, so it is
-    pointed, and the current rays are exactly its extreme rays, one per
-    support; under these two conditions the combinatorial test is exact
-    (Fukuda and Prodon, "Double description method revisited", 1996).  A
-    new ray lies inside the 2-face its pair spans, which no other pair
-    spans, so the new rays need no deduplication.  A cheaper necessary
-    condition runs first: the face spanned by S has
-    dimension at least |S| minus the processed row count, so a pair with
-    |S| - 2 above that count is not adjacent.
+    inserted in lexicographic order of their rows and evaluated over
+    their nonzero columns only.  Adjacency of two rays in the current
+    cone is decided combinatorially: with S the union of their supports,
+    the pair is adjacent exactly when no third current ray has its
+    support inside S.  The cone lies in the orthant, so it is pointed, and
+    the current rays are exactly its extreme rays, one per support; under
+    these two conditions the combinatorial test is exact (Fukuda and
+    Prodon, "Double description method revisited", 1996).  A new ray is a
+    positive combination of two nonnegative rays, so its support is
+    exactly S, and it lies inside the 2-face its pair spans, which no
+    other pair spans, so the new rays need no deduplication.  A cheaper
+    necessary condition runs first: the face spanned by S has dimension
+    at least |S| minus the processed row count, so a pair with |S| - 2
+    above that count is not adjacent.
+
+    `reject(mask)` is a predicate on support bitmasks (bit i for
+    coordinate i) and must be monotone: if it rejects S it rejects every
+    superset of S.  Supports only grow under combination, so a rejected
+    ray never has an accepted descendant, and rejected initial rays and
+    pairs whose union is rejected are dropped as they appear (Burton,
+    "Optimizing the double description method for normal surface
+    enumeration", Math. Comp. 79, 2010).  The adjacency test stays exact:
+    a third ray of the full current cone with support inside an accepted
+    union is itself accepted, hence still in the list.  The result is
+    the accepted subset of the unfiltered result, in the same order.
     """
     dim = cone.dim
     rows = sorted(set(tuple(int(x) for x in r) for r in cone.rows
                       if any(x != 0 for x in r)))
-    rays = [tuple(1 if j == i else 0 for j in range(dim))
-            for i in range(dim)]
-    masks = [1 << i for i in range(dim)]
+    rays = []
+    masks = []
+    for i in range(dim):
+        if reject is None or not reject(1 << i):
+            rays.append(tuple(1 if j == i else 0 for j in range(dim)))
+            masks.append(1 << i)
     for nproc, a in enumerate(rows):
-        vals = [sum(c * x for c, x in zip(a, r)) for r in rays]
+        terms = [(j, c) for j, c in enumerate(a) if c]
+        vals = [sum(c * r[j] for j, c in terms) for r in rays]
         zero = [(r, m) for r, m, v in zip(rays, masks, vals) if v == 0]
         pos = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v > 0]
         neg = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v < 0]
@@ -167,16 +183,13 @@ def enumerate_extreme_rays(cone):
                 union = mp | mn
                 if union.bit_count() - 2 > nproc:
                     continue
+                if reject is not None and reject(union):
+                    continue
                 if any(m != mp and m != mn and m & union == m
                        for m in masks):
                     continue
-                comb = _normalize_int_vector(
-                    [vp * b - vn * c for c, b in zip(rp, rn)])
-                supp = 0
-                for i, x in enumerate(comb):
-                    if x:
-                        supp |= 1 << i
-                new.append((comb, supp))
+                new.append((_normalize_int_vector(
+                    [vp * b - vn * c for c, b in zip(rp, rn)]), union))
         rays = [r for r, _ in new]
         masks = [m for _, m in new]
     return sorted(Ray.from_vector(r) for r in rays)

@@ -13,10 +13,11 @@ hypothesis when nonzero.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .chi import chi_star_coefficients
 from .coords import (NormalVector, build_matching_system, forget_orientation,
-                     is_admissible, num_coords)
+                     is_admissible, num_coords, quad_conflict_test)
 from .homology import homology_map_matrix
 from .linalg import (ConeDescription, enumerate_extreme_rays,
                      remove_redundant_points, solve_lp)
@@ -59,10 +60,23 @@ class NormBall:
     hmap: object
 
 
+_ZERO = Fraction(0)
+
+
 class Pipeline:
     """Caches the derived systems of one triangulation across operations.
 
     Every stage is pure, so the cache never changes an output.
+
+    `oriented_rays` and `unoriented_rays` are the full cones: every
+    extreme ray, admissible or not.  `enumerate_vertices` reports them,
+    and `build_B` (hence `norm_ball`, `find_taut_representative` and the
+    `ball`, `norm` and `representative` commands) filters the oriented one
+    by the admissible flag.  `admissible_unoriented_rays` is the
+    unoriented cone enumerated with the quad-conflict filter, so its
+    double description never builds an inadmissible ray; only
+    `check_zero_efficiency` (the `efficiency` command and the warnings of
+    `ball`) uses it.
     """
 
     def __init__(self, tri):
@@ -84,28 +98,57 @@ class Pipeline:
     def hmap(self):
         return homology_map_matrix(self.tri)
 
+    def _cone(self, oriented):
+        m = self.matching_oriented if oriented else self.matching_unoriented
+        return ConeDescription(tuple(m.rows), m.num_cols)
+
+    @cached_property
+    def quad_conflict(self):
+        """Per theory (keyed by `oriented`), the monotone support-mask
+        predicate of inadmissibility."""
+        t = self.tri.num_tets
+        return {o: quad_conflict_test(t, o) for o in (True, False)}
+
     @cached_property
     def oriented_rays(self):
-        cone = ConeDescription(tuple(self.matching_oriented.rows),
-                               num_coords(self.tri.num_tets, True))
-        return enumerate_extreme_rays(cone)
+        return enumerate_extreme_rays(self._cone(True))
 
     @cached_property
     def unoriented_rays(self):
-        cone = ConeDescription(tuple(self.matching_unoriented.rows),
-                               num_coords(self.tri.num_tets, False))
-        return enumerate_extreme_rays(cone)
+        return enumerate_extreme_rays(self._cone(False))
+
+    @cached_property
+    def admissible_unoriented_rays(self):
+        """The admissible members of `unoriented_rays`, in the same order,
+        from the filtered double description."""
+        return enumerate_extreme_rays(self._cone(False),
+                                      reject=self.quad_conflict[False])
 
     @cached_property
     def chi_coeffs_unoriented(self):
         return chi_star_coefficients(self.tri, oriented=False)
 
+    @cached_property
+    def _chi_integer(self):
+        """Per theory, the Euler functional as integer numerators over one
+        common denominator.  A disc's term does not depend on its
+        transverse orientation, so oriented column 2i repeats unoriented
+        column i twice."""
+        coeffs = self.chi_coeffs_unoriented
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = tuple(int(c * den) for c in coeffs)
+        return {False: (nums, den),
+                True: (tuple(n for n in nums for _ in (1, -1)), den)}
+
     def _tag_vertex(self, ray, oriented=True):
         total = sum(ray.coords)
-        coords = tuple(Fraction(c, total) for c in ray.coords)
-        coeffs = self.chi_coeffs if oriented else self.chi_coeffs_unoriented
-        chi = dot(coeffs, coords)
-        adm = is_admissible(NormalVector(ray.coords, oriented))
+        coords = tuple(Fraction(c, total) if c else _ZERO
+                       for c in ray.coords)
+        nums, den = self._chi_integer[oriented]
+        chi = Fraction(sum(nums[i] * ray.coords[i] for i in ray.support),
+                       den * total)
+        mask = sum(1 << i for i in ray.support)
+        adm = not self.quad_conflict[oriented](mask)
         return ProjectiveVertex(coords, ray.support, chi, adm)
 
     def enumerate_vertices(self, oriented=True):
@@ -116,7 +159,8 @@ class Pipeline:
 
     def build_B(self, variant="strict"):
         """Scaled vertex sets: (B_vertices, recession_vertices)."""
-        assert variant in ("strict", "le")
+        if variant not in ("strict", "le"):
+            raise ValueError("unknown variant %r" % (variant,))
         bverts = []
         recession = []
         for v in self.enumerate_vertices(True):
@@ -278,12 +322,9 @@ class Pipeline:
         what is implemented here, so a clean pass is reported as "no
         counterexample among vertex surfaces", not as a certificate.
         """
-        checked = 0
-        for ray in self.unoriented_rays:
+        rays = self.admissible_unoriented_rays
+        for ray in rays:
             x = NormalVector(ray.coords, False)
-            if not is_admissible(x):
-                continue
-            checked += 1
             surface = reconstruct_surface(self.tri, x,
                                           self.matching_unoriented)
             for comp in surface.components:
@@ -293,7 +334,7 @@ class Pipeline:
                             "coords": x,
                             "surface": surface}
         return {"status": "no-counterexample-among-vertex-surfaces",
-                "vertex_surfaces_checked": checked}
+                "vertex_surfaces_checked": len(rays)}
 
     def hypothesis_warnings(self, ball):
         """Deterministic warning list for a computed ball."""

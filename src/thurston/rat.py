@@ -21,7 +21,7 @@ def parse_fraction(s):
 
 def format_fraction(x):
     """Canonical "p/q" string (denominator always present, always positive)."""
-    f = Fraction(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return "%d/%d" % (f.numerator, f.denominator)
 
 

@@ -272,7 +272,8 @@ def assign_transverse_orientation(tri, surface, target):
     contribute reversed oriented coordinates; 1-sided components admit
     none.  Returns a list of signs per component on success.
     """
-    assert target.oriented
+    if not target.oriented:
+        raise ValueError("expected oriented coordinates")
     if forget_orientation(target) != surface.x:
         raise ValueError("oriented coordinates do not project onto the "
                          "surface's unoriented coordinates")
@@ -309,7 +310,8 @@ def assign_transverse_orientation(tri, surface, target):
 def is_algebraically_aspherical(tri, x, matching=None):
     """LP decision: no coordinatewise smaller nonnegative solution of the
     oriented matching equations has positive Euler characteristic."""
-    assert x.oriented
+    if not x.oriented:
+        raise ValueError("expected oriented coordinates")
     if not x.is_nonnegative():
         raise ValueError("not in the nonnegative cone")
     if matching is None:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import thurston
 from thurston.cli import run
-from thurston.fixtures import fixture_json
+from thurston.coords import vertex_linking_vector
+from thurston.fixtures import fixture_json, load
 from thurston.rat import parse_fraction, primitive_integer_vector
 
 
@@ -191,3 +196,22 @@ def test_byte_determinism(paths, capsys):
         _, out1 = _run(capsys, argv)
         _, out2 = _run(capsys, argv)
         assert out1 == out2
+
+
+def test_parser_reuse_matches_fresh_processes(paths, capsys):
+    """One process running several commands through run() prints what a
+    fresh process prints for each, with the same exit code."""
+    d2, b1 = paths["d2"], paths["two_tet_b1"]
+    link = json.dumps(vertex_linking_vector(load("d2"), 0, oriented=False)
+                      .to_json_obj())
+    calls = [["enumerate", d2, "--unoriented"], ["enumerate", d2],
+             ["ball", b1, "--variant", "le"], ["ball", b1],
+             ["surface", d2, "--coords", '{"oriented": true, "coords": [1]}'],
+             ["surface", d2, "--coords", link]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thurston.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "thurston.cli"] + argv,
+                               env=env, capture_output=True, text=True,
+                               timeout=60)
+        assert _run(capsys, argv) == (fresh.returncode, fresh.stdout), argv

@@ -5,8 +5,9 @@ import pytest
 
 from thurston.coords import (
     NormalVector, build_matching_system, disc_index, enumerate_disc_types,
-    forget_orientation, is_admissible, is_compatible, reverse_orientation,
-    vertex_linking_vector, quad_kind_separating, QUAD_PAIR, QUAD_OPP,
+    forget_orientation, is_admissible, is_compatible, num_coords,
+    quad_conflict_test, reverse_orientation, vertex_linking_vector,
+    quad_kind_separating, QUAD_PAIR, QUAD_OPP,
 )
 from thurston.linalg import nullspace
 from thurston.fixtures import load
@@ -133,6 +134,19 @@ def test_admissibility_downward_closed(d2):
                                if c > 0 else Fraction(0)
                                for c in x.coords), True)
         assert is_admissible(y)
+
+
+@pytest.mark.parametrize("oriented", [True, False])
+def test_quad_conflict_test_matches_is_admissible(oriented):
+    rng = random.Random(5)
+    for t in (1, 2, 3):
+        conflict = quad_conflict_test(t, oriented)
+        n = num_coords(t, oriented)
+        for _ in range(400):
+            mask = rng.getrandbits(n) & rng.getrandbits(n)
+            x = NormalVector(tuple((mask >> i) & 1 for i in range(n)),
+                             oriented)
+            assert conflict(mask) == (not is_admissible(x)), (t, mask)
 
 
 def test_negative_coordinate_rejected():

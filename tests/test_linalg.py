@@ -120,6 +120,35 @@ def test_extreme_rays_match_brute_force_on_random_cones():
     assert nonempty > 100
 
 
+def _mask(ray):
+    return sum(1 << i for i in ray.support)
+
+
+def _random_forbidden_pairs(rng, dim):
+    """A random monotone support predicate: reject a support containing
+    any of a few random coordinate pairs; a pair (i, i) forbids
+    coordinate i alone."""
+    pairs = [(1 << rng.randrange(dim)) | (1 << rng.randrange(dim))
+             for _ in range(rng.randint(0, dim))]
+    return lambda mask: any(mask & p == p for p in pairs)
+
+
+def test_filtered_extreme_rays_match_brute_force_on_random_cones():
+    """With a monotone reject predicate the DD returns exactly the
+    brute-force extreme rays whose supports it accepts."""
+    rng = random.Random(23)
+    kept = dropped = 0
+    for _ in range(300):
+        cone = _random_cone(rng)
+        reject = _random_forbidden_pairs(rng, cone.dim)
+        full = _brute_force_rays(cone.rows, cone.dim)
+        expected = [r for r in full if not reject(_mask(r))]
+        assert enumerate_extreme_rays(cone, reject=reject) == expected, cone
+        kept += len(expected)
+        dropped += len(full) - len(expected)
+    assert kept > 100 and dropped > 100
+
+
 @pytest.mark.parametrize("name", ["d2", "two_tet_b1"])
 @pytest.mark.parametrize("oriented", [True, False])
 def test_fixture_rays_are_extreme_with_distinct_supports(name, oriented):

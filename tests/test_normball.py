@@ -1,12 +1,31 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+import thurston
+from thurston.chi import chi_star
 from thurston.coords import NormalVector, forget_orientation, \
-    vertex_linking_vector
-from thurston.fixtures import load
+    is_admissible, quad_conflict_test, vertex_linking_vector
+from thurston.fixtures import load, names
+from thurston.linalg import enumerate_extreme_rays, is_extreme_ray
 from thurston.normball import (DegenerateNormBall, NormBall, NormBallError,
                                Pipeline, evaluate_norm)
+
+# Every (fixture, theory) whose full double description finishes: the
+# oriented three_tet cone does not.
+FULL_CONES = [(name, oriented) for name in names()
+              for oriented in (True, False)
+              if (name, oriented) != ("three_tet", True)]
+
+
+@cache
+def _pipe(name):
+    return Pipeline(load(name))
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +184,97 @@ def test_hypothesis_warning_flags_nonaspherical_vertex(d2_pipe):
     fake.B_vertices = [link.coords]
     warnings = d2_pipe.hypothesis_warnings(fake)
     assert any("not algebraically aspherical" in w for w in warnings)
+
+
+@pytest.mark.parametrize("name,oriented", FULL_CONES)
+def test_filtered_rays_are_admissible_subset_of_full(name, oriented):
+    """The quad-conflict filter drops exactly the inadmissible rays of the
+    full cone and keeps the order."""
+    pipe = _pipe(name)
+    full = pipe.oriented_rays if oriented else pipe.unoriented_rays
+    expected = [r for r in full
+                if is_admissible(NormalVector(r.coords, oriented))]
+    reject = quad_conflict_test(pipe.tri.num_tets, oriented)
+    assert enumerate_extreme_rays(pipe._cone(oriented),
+                                  reject=reject) == expected
+    if not oriented:
+        assert pipe.admissible_unoriented_rays == expected
+
+
+def test_filtered_rays_three_tet_oriented():
+    """The full oriented three_tet cone does not finish; every ray of the
+    filtered one is admissible and extreme in the full cone."""
+    pipe = _pipe("three_tet")
+    cone = pipe._cone(True)
+    rays = enumerate_extreme_rays(
+        cone, reject=quad_conflict_test(pipe.tri.num_tets, True))
+    assert len(rays) == 8
+    for r in rays:
+        assert is_admissible(NormalVector(r.coords, True))
+        assert is_extreme_ray(cone, r.coords)
+
+
+@pytest.mark.parametrize("name,oriented", FULL_CONES)
+def test_vertex_tags_match_reference(name, oriented):
+    """The integer tagging of enumerate_vertices agrees with chi_star and
+    is_admissible on the normalized vertex."""
+    pipe = _pipe(name)
+    for v in pipe.enumerate_vertices(oriented):
+        x = NormalVector(v.coords, oriented)
+        assert v.chi == chi_star(pipe.tri, x)
+        assert v.admissible == is_admissible(x)
+
+
+def test_input_checks_survive_optimize():
+    """Under python -O every input check below still raises ValueError:
+    none of them is an assert.  The script prints the names of the checks
+    that did not."""
+    script = textwrap.dedent("""
+        import sys
+        from thurston.coords import (NormalVector, build_matching_system,
+                                     forget_orientation, reverse_orientation)
+        from thurston.fixtures import load
+        from thurston.homology import dual_cocycle, homology_map_matrix
+        from thurston.normball import Pipeline
+        from thurston.surfaces import (assign_transverse_orientation,
+                                       is_algebraically_aspherical,
+                                       reconstruct_surface)
+
+        tri = load("two_tet_b1")
+        u = NormalVector((0,) * 14, False)
+        o = NormalVector((0,) * 28, True)
+        # One tetrahedron: the unoriented 14-vector u has the length of an
+        # oriented vector, so only the orientation check can reject it.
+        one = load("one_tet")
+        surface = reconstruct_surface(one, NormalVector((0,) * 7, False))
+        checks = {
+            "forget_orientation": lambda: forget_orientation(
+                NormalVector((1, 2, 3, 4), False)),
+            "reverse_orientation": lambda: reverse_orientation(u),
+            "add": lambda: u + o,
+            "class_of": lambda: homology_map_matrix(tri).class_of(u),
+            "dual_cocycle": lambda: dual_cocycle(
+                tri, build_matching_system(tri, False), u),
+            "assign_transverse_orientation":
+                lambda: assign_transverse_orientation(one, surface, u),
+            "is_algebraically_aspherical":
+                lambda: is_algebraically_aspherical(tri, u),
+            "build_B": lambda: Pipeline(tri).build_B("bogus"),
+        }
+        missed = []
+        for name, check in checks.items():
+            try:
+                check()
+            except ValueError:
+                continue
+            except Exception:
+                pass
+            missed.append(name)
+        print(sys.flags.optimize, " ".join(missed))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thurston.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"], proc.stdout
