@@ -68,7 +68,6 @@ def cmd_validate(args):
     valid = not errors
     out = {"valid": valid, "errors": errors, "tets": tri.num_tets}
     if valid:
-        compute_skeleton(tri)
         out.update({
             "tet_signs": list(tri.tet_signs),
             "vertex_classes": len(tri.vertex_classes),

@@ -217,7 +217,9 @@ def build_matching_system(tri, oriented=True):
         # gluing permutation of the - side translates its corner labels to
         # the + side.
         g = tri.gluings[tet_m][f_m]
-        assert (g.tet, g.perm[f_m]) == (tet_p, f_p)
+        if (g.tet, g.perm[f_m]) != (tet_p, f_p):
+            raise ArithmeticError("face class %d does not match its gluing"
+                                  % fc)
         signs = (1, -1) if oriented else (1,)
         for corner in FACE_CORNERS[f_m]:
             for s in signs:

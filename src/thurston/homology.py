@@ -142,7 +142,8 @@ def compute_h1_basis(tri):
             break
         if rank_int(full + [e]) > len(full):
             full.append(e)
-    assert len(full) == ne
+    if len(full) != ne:
+        raise ArithmeticError("basis completion fell short of the edge count")
     inv = invert_matrix([[full[c][r] for c in range(ne)]
                          for r in range(ne)])
     lo = len(chosen)

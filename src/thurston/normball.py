@@ -20,7 +20,7 @@ from .coords import (NormalVector, build_matching_system, forget_orientation,
                      is_admissible, num_coords, quad_conflict_test)
 from .homology import homology_map_matrix
 from .linalg import (ConeDescription, enumerate_extreme_rays,
-                     remove_redundant_points, solve_lp)
+                     remove_redundant_points, rref, solve_lp)
 from .rat import dot
 from .surfaces import (assign_transverse_orientation,
                        is_algebraically_aspherical, reconstruct_surface)
@@ -234,7 +234,20 @@ class Pipeline:
         """Lexicographic DFS over nonnegative integer vectors satisfying
         the equality system, with admissibility pruning, incremental
         per-row interval pruning, and an exact LP relaxation at surviving
-        interior nodes."""
+        interior nodes.
+
+        The relaxation asks whether the remaining coordinates have a
+        nonnegative rational completion.  It keeps only a subset of `rows`
+        spanning their row space: when the system is consistent, every
+        other row's residual is the same combination of the kept rows'
+        residuals at every node, so the feasible set is unchanged.  It
+        passes no upper bounds: the weight row (all ones, right-hand side
+        `w`) already bounds every remaining coordinate by the weight left.
+        Either way the output is exact, because the LP only prunes: the
+        DFS itself never exceeds the weight `w`, and every leaf is checked
+        against all rows exactly, so a looser relaxation (an inconsistent
+        system, or no weight row) costs time but cannot add or drop a
+        point."""
         n = self.matching_oriented.num_cols
         nrows = len(rows)
         # Achievable range of each row's tail given a shared weight budget:
@@ -249,6 +262,9 @@ class Pipeline:
                     if k < n - 1 else row[k]
         residual = [r for r in rhs]
         prefix = []
+        # The pivot columns of the transpose index rows spanning the row
+        # space.
+        spanning = rref([list(col) for col in zip(*rows)])[1]
 
         def intervals_ok(k, rem):
             for i in range(nrows):
@@ -264,10 +280,10 @@ class Pipeline:
             return True
 
         def feasible_completion(k):
-            sub_rows = [row[k:] for row in rows]
             res = solve_lp([Fraction(0)] * (n - k),
-                           (sub_rows, list(residual)),
-                           [(Fraction(0), Fraction(w))] * (n - k))
+                           ([rows[i][k:] for i in spanning],
+                            [residual[i] for i in spanning]),
+                           [(Fraction(0), None)] * (n - k))
             return res.optimal
 
         def admissible_prefix(k):

@@ -34,7 +34,9 @@ def parse_vector(items):
 
 
 def dot(u, v):
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise ValueError("dot product of vectors of lengths %d and %d"
+                         % (len(u), len(v)))
     return sum(a * b for a, b in zip(u, v))
 
 

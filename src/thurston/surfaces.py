@@ -149,7 +149,8 @@ def reconstruct_surface(tri, x, matching=None):
         for corner in FACE_CORNERS[f_m]:
             side_m = _arc_stack(x, tet_m, f_m, corner, disc_ids)
             side_p = _arc_stack(x, tet_p, f_p, g.perm[corner], disc_ids)
-            assert len(side_m) == len(side_p), "matching equation violated"
+            if len(side_m) != len(side_p):
+                raise ArithmeticError("arc stacks differ across a face")
             for da, db in zip(side_m, side_p):
                 rel = _eta(discs[da][1], f_m, corner) * \
                     _eta(discs[db][1], f_p, g.perm[corner])
@@ -260,7 +261,8 @@ def _vertex_linking(tri, surface, ids):
     vc = classes.pop()
     if len(ids) != len(tri.vertex_classes[vc]):
         return False, None
-    assert corners == set(tri.vertex_classes[vc])
+    if corners != set(tri.vertex_classes[vc]):
+        raise ArithmeticError("vertex-link corners do not fill their class")
     return True, vc
 
 

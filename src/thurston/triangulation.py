@@ -82,7 +82,8 @@ class Triangulation:
     """Tetrahedra with gluings, plus the derived skeleton once computed.
 
     Fields filled in stages: parse_triangulation sets .gluings only;
-    validate_and_orient adds .tet_signs; compute_skeleton adds the
+    validate_and_orient adds .tet_signs and caches the vertex and directed
+    edge orbits, which compute_skeleton reuses; compute_skeleton adds the
     vertex/edge/face classes and edge degrees.  After compute_skeleton the
     object is treated as immutable and is safe to share between threads.
     """
@@ -98,6 +99,7 @@ class Triangulation:
         self.degrees = None               # per edge class, number of corners
         self.face_class = None            # (tet, face) -> class index
         self.face_classes = None          # list of ((tet, face), (tet, face))
+        self._orbits = {}                 # orbit function -> its result
 
     @property
     def num_tets(self):
@@ -261,6 +263,14 @@ def _edge_orbits_directed(tri):
     return _corner_orbits(items, neighbours)
 
 
+def _cached_orbits(tri, orbits):
+    """`orbits(tri)`, computed once per triangulation: validation and the
+    skeleton share the vertex and directed-edge orbits."""
+    if orbits not in tri._orbits:
+        tri._orbits[orbits] = orbits(tri)
+    return tri._orbits[orbits]
+
+
 def validate_and_orient(tri):
     """Check closedness, involutivity, orientability, edge validity and that
     all vertex links are 2-spheres; fill in tet_signs.
@@ -278,7 +288,7 @@ def validate_and_orient(tri):
 
     # An edge identified with itself in reverse makes the space a
     # non-manifold along that edge.
-    dir_cls, _ = _edge_orbits_directed(tri)
+    dir_cls, _ = _cached_orbits(tri, _edge_orbits_directed)
     for tet in range(tri.num_tets):
         for (a, b) in EDGES:
             if dir_cls[(tet, (a, b))] == dir_cls[(tet, (b, a))]:
@@ -301,7 +311,7 @@ def _check_vertex_links(tri, report):
     (tet, v, f) paired across face gluings, and its vertices are the orbits
     of (tet, v, w) for edges {v, w}, so chi = V - 3F/2 + F.
     """
-    _, vclasses = _vertex_orbits(tri)
+    _, vclasses = _cached_orbits(tri, _vertex_orbits)
 
     def linkvert_neighbours(item):
         tet, v, w = item
@@ -336,9 +346,10 @@ def compute_skeleton(tri):
     direction for every edge class.  Classes are numbered by their smallest
     (tet, index) representative; an edge class is directed by the ordered
     pair of its representative (EDGES pairs are increasing)."""
-    tri.vertex_class, tri.vertex_classes = _vertex_orbits(tri)
+    tri.vertex_class, tri.vertex_classes = _cached_orbits(
+        tri, _vertex_orbits)
 
-    dir_cls, dir_classes = _edge_orbits_directed(tri)
+    dir_cls, dir_classes = _cached_orbits(tri, _edge_orbits_directed)
     # Undirected classes keyed by (tet, edge index), ordered by smallest
     # member; the directed orbit of the representative fixes the direction.
     und_items = sorted((tet, EDGE_INDEX[pair])
@@ -372,8 +383,8 @@ def compute_skeleton(tri):
 
     faces = [(tet, f) for tet in range(tri.num_tets) for f in range(4)]
     tri.face_class, fclasses = _corner_orbits(faces, face_neighbours)
-    for pair in fclasses:
-        assert len(pair) == 2, "face class must have exactly two embeddings"
+    if any(len(pair) != 2 for pair in fclasses):
+        raise ArithmeticError("face class must have exactly two embeddings")
     tri.face_classes = [tuple(pair) for pair in fclasses]
     return tri
 

@@ -156,6 +156,59 @@ def test_integral_point_enumeration(d2_pipe):
         assert d2_pipe.matching_oriented.is_in_kernel(x.coords)
 
 
+def _search_system(pipe, w):
+    """The oriented matching rows plus the weight row, right-hand side w."""
+    n = pipe.matching_oriented.num_cols
+    rows = [list(map(Fraction, r)) for r in pipe.matching_oriented.rows]
+    rows.append([Fraction(1)] * n)
+    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(w)]
+    return rows, rhs
+
+
+def _compositions(w, n):
+    """Every nonnegative integer vector of length n summing to w, in
+    lexicographic order."""
+    if n == 1:
+        yield (w,)
+        return
+    for v in range(w + 1):
+        for rest in _compositions(w - v, n - 1):
+            yield (v,) + rest
+
+
+@pytest.mark.parametrize("name,w", [("one_tet", 1), ("one_tet", 2),
+                                    ("one_tet", 3), ("two_tet_b1", 1),
+                                    ("d2", 1), ("d2", 2)])
+def test_integral_points_match_brute_force(name, w):
+    """The DFS yields exactly the admissible kernel points of weight w,
+    in the order of a lexicographic brute-force scan."""
+    pipe = _pipe(name)
+    matching = pipe.matching_oriented
+    expected = [c for c in _compositions(w, matching.num_cols)
+                if matching.is_in_kernel(c)
+                and is_admissible(NormalVector(c, True))]
+    if (name, w) == ("d2", 2):
+        assert len(expected) == 14
+    rows, rhs = _search_system(pipe, w)
+    found = [x.coords for x in pipe._integral_points(rows, rhs, w)]
+    assert found == expected
+
+
+@pytest.mark.parametrize("name,w", [("one_tet", 2), ("d2", 1)])
+def test_integral_points_of_inconsistent_system(name, w):
+    """A dependent row with the wrong right-hand side leaves no point.
+    The LP sees neither extra row, since both depend on the others, so the
+    exact per-row interval checks must reject them: the repeated weight
+    row at the root, the weight row plus a matching row with coefficients
+    of both signs only deeper in the search."""
+    pipe = _pipe(name)
+    rows, rhs = _search_system(pipe, w)
+    mixed = next(r for r in rows if min(r) < 0 < max(r))
+    for extra in (rows[-1], [a + b for a, b in zip(rows[-1], mixed)]):
+        system = (rows + [extra], rhs + [Fraction(w + 1)])
+        assert list(pipe._integral_points(*system, w)) == []
+
+
 def test_zero_efficiency_reports():
     d2 = Pipeline(load("d2"))
     res = d2.check_zero_efficiency()
@@ -236,6 +289,7 @@ def test_input_checks_survive_optimize():
         from thurston.fixtures import load
         from thurston.homology import dual_cocycle, homology_map_matrix
         from thurston.normball import Pipeline
+        from thurston.rat import dot
         from thurston.surfaces import (assign_transverse_orientation,
                                        is_algebraically_aspherical,
                                        reconstruct_surface)
@@ -260,6 +314,7 @@ def test_input_checks_survive_optimize():
             "is_algebraically_aspherical":
                 lambda: is_algebraically_aspherical(tri, u),
             "build_B": lambda: Pipeline(tri).build_B("bogus"),
+            "dot": lambda: dot((1, 2), (1,)),
         }
         missed = []
         for name, check in checks.items():

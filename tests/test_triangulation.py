@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from thurston.fixtures import load
+from thurston.fixtures import fixture_json, load, names
 from thurston.triangulation import (
     InvalidTriangulation, TriangulationError, parse_triangulation,
     validate_and_orient, compute_skeleton, triangulation_from_json,
@@ -131,6 +131,25 @@ def test_skeleton_deterministic():
     assert a.vertex_classes == b.vertex_classes
     assert a.face_classes == b.face_classes
     assert a.edge_direction == b.edge_direction
+
+
+SKELETON_FIELDS = ("vertex_class", "vertex_classes", "edge_class",
+                   "edge_classes", "edge_direction", "degrees", "face_class",
+                   "face_classes")
+
+
+@pytest.mark.parametrize("name", names())
+def test_skeleton_with_orbits_from_validation(name):
+    """The skeleton built on the orbits cached by validation equals the
+    skeleton of an unvalidated copy, which computes them afresh; building
+    it twice changes nothing."""
+    text = fixture_json(name)
+    validated = triangulation_from_json(text)
+    fresh = compute_skeleton(parse_triangulation(text))
+    again = compute_skeleton(triangulation_from_json(text))
+    for field in SKELETON_FIELDS:
+        assert getattr(validated, field) == getattr(fresh, field), field
+        assert getattr(again, field) == getattr(fresh, field), field
 
 
 def test_d2_not_simplicial():
