@@ -3,8 +3,8 @@
 Subcommands: validate, enumerate, ball, norm, surface, representative,
 efficiency.  Standard output carries exactly one JSON document per run
 with all numbers as exact rational strings "p/q"; logging goes to
-standard error.  Exit codes: 0 success, 1 invalid input, 2
-hypothesis-violation certificate.
+standard error.  Exit codes: 0 success, 1 invalid input (a usage error
+included), 2 hypothesis-violation certificate.
 """
 
 import argparse
@@ -42,6 +42,8 @@ def _load_triangulation(path, validate_only=False):
             text = fh.read()
     except OSError as e:
         raise CliError("io-error", str(e))
+    except UnicodeDecodeError as e:
+        raise CliError("parse-error", "gluing file is not UTF-8: %s" % e)
     try:
         tri = parse_triangulation(text)
     except TriangulationError as e:
@@ -203,8 +205,17 @@ def cmd_efficiency(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into a CliError, hence a JSON error with exit
+    code 1; the usage line still goes to standard error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError("usage-error", message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thurston",
         description="Thurston norm unit balls of closed triangulated "
                     "3-manifolds via transversely oriented normal surfaces")
@@ -261,8 +272,8 @@ def run(argv):
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        args = _parser.parse_args(argv)
         return args.func(args)
     except CliError as e:
         _dump({"error": {"code": e.code, "message": str(e)}})

@@ -55,17 +55,6 @@ def disc_edges(kind):
     return ((a, c), (a, d), (b, c), (b, d))
 
 
-def disc_cut_corner(kind, face):
-    """Corner cut off in `face` by the boundary arc of a disc of `kind`,
-    or None when the disc has no arc in that face."""
-    if kind in TRI_KINDS:
-        return kind if face != kind else None
-    pair, opp = QUAD_PAIR[kind], QUAD_OPP[kind]
-    if face in pair:
-        return pair[0] if face == pair[1] else pair[1]
-    return opp[0] if face == opp[1] else opp[1]
-
-
 def quad_kind_for_arc(face, corner):
     """The quad kind whose arc in `face` cuts off `corner`."""
     return quad_kind_separating((face, corner))
@@ -158,14 +147,12 @@ def enumerate_disc_types(tri):
 class MatchingSystem:
     """Integer matching-equation matrix with its index maps.
 
-    rows[r] is a tuple of length num_coords; row_index maps an arc class
-    key to its row and col_index maps a disc type to its column.  Oriented
-    arc keys are (face_class, corner, sign) with the corner in the labels
-    of the face class representative; unoriented keys drop the sign.
+    rows[r] is a tuple of length num_coords, one per arc class and (in
+    the oriented theory) transverse orientation; col_index maps a disc
+    type to its column.
     """
 
     rows: list
-    row_index: dict
     col_index: dict
     oriented: bool
     num_cols: int
@@ -211,7 +198,6 @@ def build_matching_system(tri, oriented=True):
     t = tri.num_tets
     n = num_coords(t, oriented)
     rows = []
-    row_index = {}
     for fc, ((tet_m, f_m), (tet_p, f_p)) in enumerate(tri.face_classes):
         # Embeddings are stored sorted, so the first is the - side.  The
         # gluing permutation of the - side translates its corner labels to
@@ -231,13 +217,11 @@ def build_matching_system(tri, oriented=True):
                     row[c] += 1
                 for c in cols_p:
                     row[c] -= 1
-                key = (fc, corner, s) if oriented else (fc, corner)
-                row_index[key] = len(rows)
                 rows.append(tuple(row))
     col_index = {}
     for i in range(n):
         col_index[disc_of_index(i, oriented)] = i
-    return MatchingSystem(rows, row_index, col_index, oriented, n)
+    return MatchingSystem(rows, col_index, oriented, n)
 
 
 def forget_orientation(x):

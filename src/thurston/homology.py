@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coords import (disc_index, quad_arc_sign_factor, quad_kind_for_arc,
                      num_coords)
-from .linalg import invert_matrix, nullspace, rank_int, solve_linear
+from .linalg import nullspace, rank_int, rref, solve_linear
 from .rat import primitive_integer_vector
 from .triangulation import EDGES, EDGE_INDEX, FACE_CORNERS
 
@@ -35,7 +35,6 @@ class CochainComplex:
     d1: list
     num_vertices: int
     num_edges: int
-    num_faces: int
 
 
 def boundary_matrices(tri):
@@ -72,7 +71,7 @@ def cochain_complex(tri):
     nv, ne, nf = len(d1), len(d2), len(d2[0]) if d2 else 0
     d0 = [[d1[j][i] for j in range(nv)] for i in range(ne)]
     dd1 = [[d2[j][i] for j in range(ne)] for i in range(nf)]
-    cx = CochainComplex(d0, dd1, nv, ne, nf)
+    cx = CochainComplex(d0, dd1, nv, ne)
     for row in _mat_mul(cx.d1, cx.d0):
         if any(x != 0 for x in row):
             raise ArithmeticError("d1 . d0 != 0")
@@ -116,49 +115,36 @@ class H1Basis:
 
 
 def compute_h1_basis(tri):
-    """Exact basis of ker d1 modulo im d0, with coordinates.
+    """Exact basis of ker d1 modulo im d0, with coordinates."""
+    return h1_basis_of_complex(cochain_complex(tri))
 
-    The basis vectors extend a column basis of im d0 inside ker d1; the
-    full square matrix [im-basis | H1-basis | complement] is inverted once
-    and the H1 block of the inverse is the coordinate projection.
+
+def h1_basis_of_complex(cx):
+    """H^1 of a cochain complex from one reduced echelon form.
+
+    The columns of [d0 | K | I], with K the primitive integer nullspace
+    basis of d1, are reduced together.  Each pivot column is independent
+    of the columns before it, so the pivots pick in order a basis of
+    im d0, then the kernel vectors extending it to a basis of ker d1 (the
+    H^1 basis), then the unit vectors completing it to a basis F of the
+    whole edge space.  The reduction multiplies by F^-1, so the I block of
+    the reduced matrix is F^-1, and its rows at the H^1 pivots form the
+    coordinate projection.
     """
-    cx = cochain_complex(tri)
-    ne = cx.num_edges
-    kernel = nullspace(cx.d1, ne)
-    image_cols = [tuple(Fraction(cx.d0[i][j]) for i in range(ne))
-                  for j in range(cx.num_vertices)]
-    chosen = _greedy_column_basis(image_cols, ne)
-    basis = []
-    for v in kernel:
-        if rank_int(chosen + basis + [v]) > len(chosen) + len(basis):
-            basis.append(v)
-    b = len(basis)
-    basis = [tuple(Fraction(x) for x in primitive_integer_vector(v))
-             for v in basis]
-    full = list(chosen) + list(basis)
-    for i in range(ne):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(ne))
-        if len(full) == ne:
-            break
-        if rank_int(full + [e]) > len(full):
-            full.append(e)
-    if len(full) != ne:
+    ne, nv = cx.num_edges, cx.num_vertices
+    kernel = [primitive_integer_vector(v) for v in nullspace(cx.d1, ne)]
+    nk = len(kernel)
+    cols = [[cx.d0[i][j] for j in range(nv)] + [v[i] for v in kernel] +
+            [int(i == j) for j in range(ne)] for i in range(ne)]
+    m, pivots = rref(cols)
+    if len(pivots) != ne:
         raise ArithmeticError("basis completion fell short of the edge count")
-    inv = invert_matrix([[full[c][r] for c in range(ne)]
-                         for r in range(ne)])
-    lo = len(chosen)
-    projection_rows = [tuple(inv[lo + k]) for k in range(b)]
+    lo = sum(p < nv for p in pivots)
+    basis = [tuple(Fraction(x) for x in kernel[p - nv])
+             for p in pivots if nv <= p < nv + nk]
+    b = len(basis)
+    projection_rows = [tuple(m[lo + k][nv + nk:]) for k in range(b)]
     return H1Basis(cx, basis, projection_rows, b)
-
-
-def _greedy_column_basis(cols, dim):
-    chosen = []
-    for v in cols:
-        if all(x == 0 for x in v):
-            continue
-        if rank_int(chosen + [v]) > len(chosen):
-            chosen.append(v)
-    return chosen
 
 
 def edge_intersection_matrix(tri):

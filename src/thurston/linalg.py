@@ -16,6 +16,17 @@ from math import gcd
 # exact matrix utilities
 
 
+def _pivot(rows, r, col):
+    """One Gauss-Jordan step in place: scale row r so that its entry in
+    `col` is 1 and clear `col` from every other row."""
+    inv = 1 / rows[r][col]
+    pr = rows[r] = [inv * x for x in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and f != 0:
+            rows[i] = [a - f * b for a, b in zip(row, pr)]
+
+
 def rref(rows):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -31,12 +42,7 @@ def rref(rows):
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [inv * x for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        _pivot(m, row, col)
         pivots.append(col)
         row += 1
         if row == len(m):
@@ -82,18 +88,6 @@ def solve_linear(rows, rhs):
             return None
         x[pc] = m[r][n]
     return tuple(x)
-
-
-def invert_matrix(rows):
-    """Exact inverse of a square rational matrix."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] +
-           [Fraction(1 if j == i else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    m, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +207,7 @@ def is_extreme_ray(cone, coords):
 class LpResult:
     """Outcome of solve_lp.  status is "optimal", "infeasible" or
     "unbounded"; for optimal results x is a vertex witness and the dual
-    certificate has been verified exactly against the standardized data."""
+    certificate has been verified exactly against the standard-form data."""
 
     status: str
     value: Fraction = None
@@ -237,14 +231,7 @@ class _Tableau:
         self.basis = [None] * self.m
 
     def pivot(self, r, col):
-        row = self.rows[r]
-        inv = 1 / row[col]
-        self.rows[r] = [inv * x for x in row]
-        for i in range(self.m):
-            if i != r and self.rows[i][col] != 0:
-                f = self.rows[i][col]
-                self.rows[i] = [a - f * b
-                                for a, b in zip(self.rows[i], self.rows[r])]
+        _pivot(self.rows, r, col)
         self.basis[r] = col
 
     def solve(self):
@@ -300,7 +287,7 @@ def _simplex_standard(a, b, c):
     y.b == value when status is optimal.
     """
     m = len(a)
-    n = len(a[0]) if a else 0
+    n = len(c)
     a = [list(row) for row in a]
     b = list(b)
     for i in range(m):
@@ -358,100 +345,29 @@ def _simplex_standard(a, b, c):
     return "optimal", value, tuple(x), tuple(y)
 
 
-def solve_lp(objective, equalities, bounds, maximize=True):
-    """Exact LP: optimize objective.x subject to A x = rhs and per
-    coordinate bounds.
+def solve_lp(objective, equalities, upper=None, maximize=True):
+    """Exact LP over x >= 0: optimize objective.x subject to A x = rhs
+    and, when `upper` is given, x <= upper coordinatewise.
 
-    equalities is (matrix, rhs); bounds is a list of (lower, upper) pairs
-    where None means unbounded on that side.  Returns an LpResult whose
-    value and witness are exact rationals; infeasible and unbounded are
-    statuses, not exceptions.
+    equalities is (matrix, rhs).  Each upper bound u_j becomes the row
+    x_j + s_j = u_j with its own slack column s_j, after the equality
+    rows and the variables; minimizing maximizes -objective.x.  Returns an
+    LpResult whose value and witness are exact rationals; infeasible and
+    unbounded are statuses, not exceptions.
     """
     a, rhs = equalities
-    nvar = len(objective)
-    objective = [Fraction(x) for x in objective]
-    if not maximize:
-        res = solve_lp([-x for x in objective], equalities, bounds, True)
-        if res.optimal:
-            res.value = -res.value
-        return res
-
-    # Standardize: shift finite lower bounds to zero, reflect variables
-    # with only an upper bound, split free variables, and add slack rows
-    # for two-sided bounds.
-    col_of = []          # per original var: ("shift", col, lo) etc.
-    ncols = 0
-    extra_rows = []      # (cols with coeffs, rhs) for upper bounds
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            if hi is not None and hi < lo:
-                return LpResult("infeasible")
-            col_of.append(("shift", ncols, Fraction(lo)))
-            if hi is not None:
-                extra_rows.append(({ncols: Fraction(1)},
-                                   Fraction(hi) - Fraction(lo)))
-            ncols += 1
-        elif hi is not None:
-            col_of.append(("reflect", ncols, Fraction(hi)))
-            ncols += 1
-        else:
-            col_of.append(("free", ncols, None))
-            ncols += 2
-
-    def expand_row(row, rhs_val):
-        out = [Fraction(0)] * ncols
-        r = Fraction(rhs_val)
-        for j, coeff in enumerate(row):
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            mode, col, ref = col_of[j]
-            if mode == "shift":
-                out[col] += coeff
-                r -= coeff * ref
-            elif mode == "reflect":
-                out[col] -= coeff
-                r -= coeff * ref
-            else:
-                out[col] += coeff
-                out[col + 1] -= coeff
-        return out, r
-
-    amat = []
-    bvec = []
-    for row, rv in zip(a, rhs):
-        er, erhs = expand_row(row, rv)
-        amat.append(er)
-        bvec.append(erhs)
-    nslack = len(extra_rows)
-    for row in amat:
-        row.extend([Fraction(0)] * nslack)
-    for k, (coeffs, rv) in enumerate(extra_rows):
-        row = [Fraction(0)] * (ncols + nslack)
-        for col, cf in coeffs.items():
-            row[col] = cf
-        row[ncols + k] = Fraction(1)
-        amat.append(row)
-        bvec.append(rv)
-
-    # expand_row returns the substituted row together with minus the
-    # constant term the substitution produces.
-    cvec, crhs = expand_row(objective, 0)
-    const = -crhs
-    cvec = cvec + [Fraction(0)] * nslack
-
-    status, value, xstd, y = _simplex_standard(amat, bvec, cvec)
+    n = len(objective)
+    c = [Fraction(x) if maximize else -Fraction(x) for x in objective]
+    b = list(rhs)
+    if upper is not None:
+        unit = [[int(i == j) for i in range(n)] for j in range(n)]
+        a = [list(row) + [0] * n for row in a] + [e + e for e in unit]
+        b += list(upper)
+        c += [Fraction(0)] * n
+    status, value, x, y = _simplex_standard(a, b, c)
     if status != "optimal":
         return LpResult(status)
-    x = []
-    for mode, col, ref in col_of:
-        if mode == "shift":
-            x.append(xstd[col] + ref)
-        elif mode == "reflect":
-            x.append(ref - xstd[col])
-        else:
-            x.append(xstd[col] - xstd[col + 1])
-    return LpResult("optimal", value + const, tuple(x), y)
+    return LpResult("optimal", value if maximize else -value, x[:n], y)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +382,7 @@ def in_convex_hull(point, points):
     a = [[Fraction(q[i]) for q in points] for i in range(d)]
     a.append([Fraction(1)] * len(points))
     rhs = [Fraction(x) for x in point] + [Fraction(1)]
-    res = solve_lp([Fraction(0)] * len(points), (a, rhs),
-                   [(Fraction(0), None)] * len(points))
+    res = solve_lp([Fraction(0)] * len(points), (a, rhs))
     return res.optimal
 
 

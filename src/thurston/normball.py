@@ -282,8 +282,7 @@ class Pipeline:
         def feasible_completion(k):
             res = solve_lp([Fraction(0)] * (n - k),
                            ([rows[i][k:] for i in spanning],
-                            [residual[i] for i in spanning]),
-                           [(Fraction(0), None)] * (n - k))
+                            [residual[i] for i in spanning]))
             return res.optimal
 
         def admissible_prefix(k):
@@ -397,8 +396,7 @@ def evaluate_norm(ball, c):
         return Fraction(0)
     verts = ball.ball_vertices
     a = [[Fraction(w[i]) for w in verts] for i in range(ball.b)]
-    res = solve_lp([Fraction(1)] * len(verts), (a, list(c)),
-                   [(Fraction(0), None)] * len(verts), maximize=False)
+    res = solve_lp([Fraction(1)] * len(verts), (a, list(c)), maximize=False)
     if not res.optimal:
         raise DegenerateNormBall("norm ball degenerate or hypotheses violated")
     return res.value

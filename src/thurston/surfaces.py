@@ -52,12 +52,6 @@ class NormalSurface:
     def total_chi(self):
         return sum(c.chi for c in self.components)
 
-    def disc_counts(self):
-        counts = {}
-        for tet, kind, _ in self.discs:
-            counts[(tet, kind)] = counts.get((tet, kind), 0) + 1
-        return counts
-
     def component_coords(self, comp, sign=1):
         """Oriented coordinate of a 2-sided component when its base disc
         is given transverse orientation `sign`."""
@@ -322,8 +316,7 @@ def is_algebraically_aspherical(tri, x, matching=None):
         raise ValueError("matching equations violated")
     objective = chi_star_coefficients(tri, oriented=True)
     rhs = [0] * len(matching.rows)
-    bounds = [(Fraction(0), c) for c in x.coords]
-    res = solve_lp(list(objective), (list(matching.rows), rhs), bounds)
+    res = solve_lp(list(objective), (list(matching.rows), rhs), x.coords)
     if not res.optimal:
         raise ArithmeticError("bounded feasible LP reported %s" % res.status)
     return res.value <= 0

@@ -108,11 +108,6 @@ class Triangulation:
     def gluing(self, tet, face):
         return self.gluings[tet][face]
 
-    def face_pair(self, tet, face):
-        """The (tet, face, vertex-map) on the other side of a face."""
-        g = self.gluings[tet][face]
-        return g.tet, g.perm[face], g.perm
-
 
 def parse_triangulation(text):
     """Parse the JSON gluing-file format into a Triangulation.
@@ -156,13 +151,6 @@ def parse_triangulation(text):
             faces.append(Gluing(tgt, perm))
         gluings.append(faces)
     return Triangulation(gluings)
-
-
-def triangulation_to_json(tri):
-    tets = []
-    for row in tri.gluings:
-        tets.append([[g.tet, "".join(map(str, g.perm))] for g in row])
-    return json.dumps({"tets": tets})
 
 
 def _check_involution(tri, report):

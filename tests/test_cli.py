@@ -55,6 +55,32 @@ def test_parse_error_exit_1(tmp_path, capsys):
     assert json.loads(out)["error"]["code"] == "parse-error"
 
 
+def test_non_utf8_file_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    for command in ("validate", "enumerate", "ball", "efficiency"):
+        code, out = _run(capsys, [command, str(bad)])
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "parse-error"
+
+
+@pytest.mark.parametrize("options", [
+    ["--class", "1", "--max-weight", "x"],
+    ["--max-weight", "2"],
+])
+def test_usage_error_is_json_exit_1(paths, capsys, options):
+    code, out = _run(capsys, ["representative", paths["d2"]] + options)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "usage-error"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["norm", "-h"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: thurston norm")
+
+
 def test_enumerate_oriented(paths, capsys):
     code, out = _run(capsys, ["enumerate", paths["d2"]])
     assert code == 0
@@ -93,6 +119,47 @@ def test_ball_emit_homology(paths, capsys):
     assert doc["b"] == 1
     assert len(doc["homology"]["map_rows"]) == 1
     assert len(doc["homology"]["map_rows"][0]) == 28
+
+
+# `ball --emit-homology` stdout, byte for byte, on every fixture whose
+# oriented cone enumerates in seconds (three_tet's does not); recorded
+# from the program before the H^1 basis came from a single echelon form.
+EMIT_HOMOLOGY = {
+    "d2": (
+        '{"B_vertices":[],"b":0,"ball_vertices":[[]],"basis":[],"basis_no'
+        'rmalization":"primitive integer, denominators cleared","homology'
+        '":{"b":0,"basis":[],"map_rows":[]},"variant":"strict","warnings"'
+        ':["hypotheses unverified: triangulation is not simplicial and a '
+        'non-vertex-linking normal sphere exists among vertex surfaces"]}' "\n"),
+    "one_tet": (
+        '{"B_vertices":[],"b":0,"ball_vertices":[[]],"basis":[],"basis_no'
+        'rmalization":"primitive integer, denominators cleared","homology'
+        '":{"b":0,"basis":[],"map_rows":[]},"variant":"strict","warnings"'
+        ':[]}' "\n"),
+    "two_tet_b1": (
+        '{"B_vertices":[],"b":1,"ball_vertices":[["0/1"]],"basis":[["3/1"'
+        ',"2/1","1/1"]],"basis_normalization":"primitive integer, '
+        'denominators cleared","homology":{"b":1,"basis":[["3/1","2/1","1'
+        '/1"]],"map_rows":[["0/1","0/1","1/1","-1/1","-1/1","1/1","0/1","'
+        '0/1","1/1","-1/1","-1/1","1/1","0/1","0/1","0/1","0/1","0/1","0/'
+        '1","0/1","0/1","0/1","0/1","0/1","0/1","0/1","0/1","0/1","0/1"]]'
+        '},"variant":"strict","warnings":["hypotheses unverified: '
+        'triangulation is not simplicial and a non-vertex-linking normal '
+        'sphere exists among vertex surfaces"]}' "\n"),
+    "two_tet_efficient": (
+        '{"B_vertices":[],"b":0,"ball_vertices":[[]],"basis":[],"basis_no'
+        'rmalization":"primitive integer, denominators cleared","homology'
+        '":{"b":0,"basis":[],"map_rows":[]},"variant":"strict","warnings"'
+        ':[]}' "\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMIT_HOMOLOGY))
+def test_ball_emit_homology_pinned(tmp_path, capsys, name):
+    path = tmp_path / (name + ".json")
+    path.write_text(fixture_json(name))
+    assert _run(capsys, ["ball", "--emit-homology", str(path)]) == \
+        (0, EMIT_HOMOLOGY[name])
 
 
 def test_norm_dimension_mismatch(paths, capsys):

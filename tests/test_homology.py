@@ -6,11 +6,13 @@ import pytest
 from thurston.coords import (NormalVector, build_matching_system,
                              reverse_orientation, vertex_linking_vector)
 from thurston.fixtures import load, names
-from thurston.homology import (betti_numbers, cochain_complex,
-                               compute_h1_basis, dual_cocycle,
-                               edge_intersection_matrix, homology_map_matrix,
+from thurston.homology import (CochainComplex, betti_numbers,
+                               cochain_complex, compute_h1_basis,
+                               dual_cocycle, edge_intersection_matrix,
+                               h1_basis_of_complex, homology_map_matrix,
                                is_coboundary)
 from thurston.linalg import nullspace, rank_int
+from thurston.rat import primitive_integer_vector
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,50 @@ def test_h1_basis_dimensions(corpus):
         # basis vectors are integral and primitive
         for v in h.basis:
             assert all(x.denominator == 1 for x in v)
+
+
+def _assert_h1_contract(h):
+    """projection_rows . basis = I_b, projection_rows . d0 = 0 and
+    d1 . basis = 0, with primitive integer basis vectors."""
+    cx = h.complex
+    d0_cols = [[row[j] for row in cx.d0] for j in range(cx.num_vertices)]
+    for k, p in enumerate(h.projection_rows):
+        assert [sum(a * x for a, x in zip(p, v)) for v in h.basis] == \
+            [int(j == k) for j in range(h.b)]
+        assert all(sum(a * x for a, x in zip(p, col)) == 0
+                   for col in d0_cols)
+    for v in h.basis:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in cx.d1)
+        assert v == primitive_integer_vector(v)
+
+
+def test_h1_contract_on_fixtures(corpus):
+    for tri in corpus.values():
+        h = compute_h1_basis(tri)
+        _assert_h1_contract(h)
+        assert len(h.projection_rows) == h.b == betti_numbers(tri)[1]
+
+
+def test_h1_contract_on_random_complexes():
+    """Random integer complexes with d1 . d0 = 0: the rows of d1 are
+    combinations of the left nullspace of d0, so H^1 of dimension two or
+    more occurs, which no fixture has."""
+    rng = random.Random(5)
+    dims = set()
+    for _ in range(300):
+        ne, nv, nf = rng.randint(1, 8), rng.randint(1, 4), rng.randint(0, 5)
+        d0 = [[rng.randint(-2, 2) for _ in range(nv)] for _ in range(ne)]
+        left = [primitive_integer_vector(v) for v in
+                nullspace([list(c) for c in zip(*d0)], ne)]
+        d1 = [[sum(c * v[i] for c, v in zip(coeffs, left))
+               for i in range(ne)]
+              for coeffs in ([rng.randint(-1, 1) for _ in left]
+                             for _ in range(nf))]
+        h = h1_basis_of_complex(CochainComplex(d0, d1, nv, ne))
+        _assert_h1_contract(h)
+        assert h.b == ne - rank_int(d1) - rank_int(d0)
+        dims.add(h.b)
+    assert max(dims) >= 3
 
 
 def test_cocycle_condition_and_linearity(corpus):

@@ -1,0 +1,48 @@
+"""Every top-level function and class in src/thurston, and every
+non-dunder method of a top-level class, is referenced by name somewhere in
+src, tests, perfbench or pyproject.toml outside its own definition.  A
+word-boundary search stands in for a call graph: a name mentioned only
+where it is defined is dead code."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "thurston"
+
+
+def _sources():
+    paths = [p for d in ("src", "tests", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    paths.append(ROOT / "pyproject.toml")
+    return {p: p.read_text(encoding="utf-8") for p in paths}
+
+
+def _definitions():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                            item.name.startswith("__")
+                            and item.name.endswith("__")):
+                        yield path, item
+
+
+def test_every_definition_is_referenced():
+    sources = _sources()
+    unreferenced = []
+    for path, node in _definitions():
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        lines = sources[path].splitlines()
+        rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+        word = re.compile(r"\b%s\b" % re.escape(node.name))
+        if not word.search(rest) and not any(
+                word.search(text) for p, text in sources.items()
+                if p != path):
+            unreferenced.append("%s:%d %s" % (
+                path.relative_to(ROOT), node.lineno, node.name))
+    assert not unreferenced, unreferenced
