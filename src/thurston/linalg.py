@@ -1,10 +1,10 @@
 """Exact rational polyhedral computation.
 
 Extreme-ray enumeration for cones {x >= 0 : Ax = 0} by the double
-description method, exact two-phase simplex with verified dual
-certificates, and convex-hull redundancy removal by per-point linear
-programming.  No floating point anywhere: matrices are integers or
-Fractions and every identity checked here is exact.
+description method, exact two-phase simplex with verified dual and
+Farkas certificates, and output-sensitive convex-hull redundancy removal
+by linear programming.  No floating point anywhere: matrices are
+integers or Fractions and every identity checked here is exact.
 """
 
 from dataclasses import dataclass, field
@@ -206,8 +206,15 @@ def is_extreme_ray(cone, coords):
 @dataclass
 class LpResult:
     """Outcome of solve_lp.  status is "optimal", "infeasible" or
-    "unbounded"; for optimal results x is a vertex witness and the dual
-    certificate has been verified exactly against the standard-form data."""
+    "unbounded".
+
+    For optimal results x is a vertex witness and dual is a dual
+    certificate, verified exactly against the standard-form data after
+    redundant rows are dropped.  For infeasible results dual is a Farkas
+    certificate y, indexed over the equality rows and then the bound rows
+    that solve_lp appends: y.A >= 0 on every column of the standard-form
+    matrix A and y.b < 0, both verified exactly.  Unbounded results carry
+    neither."""
 
     status: str
     value: Fraction = None
@@ -280,18 +287,32 @@ class _Tableau:
         return sum(self.c[j] * xj for j, xj in enumerate(self.solution()))
 
 
-def _simplex_standard(a, b, c):
-    """max c.x s.t. Ax = b, x >= 0 with verified dual certificate.
+def _phase1_dual(t, n):
+    """y = c_B B^-1 of a phase-1 tableau whose columns from n on started as
+    the identity: those columns of the tableau now hold B^-1."""
+    return [sum(t.c[bj] * t.rows[i][n + k] for i, bj in enumerate(t.basis))
+            for k in range(t.m)]
 
-    Returns (status, value, x, y) where y satisfies A^T y >= c and
-    y.b == value when status is optimal.
+
+def _simplex_standard(a, b, c):
+    """max c.x s.t. Ax = b, x >= 0 with verified certificates.
+
+    Returns (status, value, x, y).  When status is optimal, y satisfies
+    A^T y >= c and y.b == value on the system with redundant rows dropped.
+    When it is infeasible, y is a Farkas certificate for the rows of A as
+    given: y.A >= 0 on every column and y.b < 0.  Phase 1 maximizes minus
+    the sum of the artificials, so at its optimum its dual y' satisfies
+    y'.A' >= 0 and y'.b' = objective < 0, where A', b' have the rows with
+    negative right-hand side negated; negating those entries of y' gives y.
     """
     m = len(a)
     n = len(c)
+    a_in, b_in = a, b
     a = [list(row) for row in a]
     b = list(b)
+    flipped = [bi < 0 for bi in b]
     for i in range(m):
-        if b[i] < 0:
+        if flipped[i]:
             a[i] = [-x for x in a[i]]
             b[i] = -b[i]
     # Phase 1: artificial variables, minimize their sum.
@@ -305,7 +326,13 @@ def _simplex_standard(a, b, c):
     if t.solve() != "optimal":
         raise ArithmeticError("phase 1 objective unbounded")
     if t.objective() != 0:
-        return "infeasible", None, None, None
+        y = [-yi if f else yi for yi, f in zip(_phase1_dual(t, n), flipped)]
+        if any(sum(yi * row[j] for yi, row in zip(y, a_in)) < 0
+               for j in range(n)):
+            raise ArithmeticError("Farkas certificate violated")
+        if sum(yi * bi for yi, bi in zip(y, b_in)) >= 0:
+            raise ArithmeticError("Farkas certificate does not separate")
+        return "infeasible", None, None, tuple(y)
     # Drive remaining artificials out of the basis; drop redundant rows.
     keep = []
     for i in range(t.m):
@@ -353,10 +380,21 @@ def solve_lp(objective, equalities, upper=None, maximize=True):
     x_j + s_j = u_j with its own slack column s_j, after the equality
     rows and the variables; minimizing maximizes -objective.x.  Returns an
     LpResult whose value and witness are exact rationals; infeasible and
-    unbounded are statuses, not exceptions.
+    unbounded are statuses, not exceptions.  An infeasible result's dual is
+    a Farkas certificate over the equality rows, then the bound rows, in
+    that order (see LpResult).  Raises ValueError when a row's length, the
+    number of right-hand sides or the length of `upper` does not match.
     """
     a, rhs = equalities
     n = len(objective)
+    if any(len(row) != n for row in a):
+        raise ValueError("every row needs one entry per variable (%d)" % n)
+    if len(rhs) != len(a):
+        raise ValueError("%d right-hand sides for %d rows"
+                         % (len(rhs), len(a)))
+    if upper is not None and len(upper) != n:
+        raise ValueError("%d upper bounds for %d variables"
+                         % (len(upper), n))
     c = [Fraction(x) if maximize else -Fraction(x) for x in objective]
     b = list(rhs)
     if upper is not None:
@@ -365,6 +403,8 @@ def solve_lp(objective, equalities, upper=None, maximize=True):
         b += list(upper)
         c += [Fraction(0)] * n
     status, value, x, y = _simplex_standard(a, b, c)
+    if status == "infeasible":
+        return LpResult(status, dual=y)
     if status != "optimal":
         return LpResult(status)
     return LpResult("optimal", value if maximize else -value, x[:n], y)
@@ -374,38 +414,55 @@ def solve_lp(objective, equalities, upper=None, maximize=True):
 # convex hull redundancy removal
 
 
-def in_convex_hull(point, points):
-    """Exact membership of `point` in the convex hull of `points`."""
-    if not points:
-        return False
+def _check_lengths(points, d):
+    if any(len(q) != d for q in points):
+        raise ValueError("points of unequal length")
+
+
+def _hull_lp(point, points):
+    """The LP for convex weights on `points` that reproduce `point`: one
+    row per coordinate, then the weights summing to 1; no objective."""
     d = len(point)
     a = [[Fraction(q[i]) for q in points] for i in range(d)]
     a.append([Fraction(1)] * len(points))
     rhs = [Fraction(x) for x in point] + [Fraction(1)]
-    res = solve_lp([Fraction(0)] * len(points), (a, rhs))
-    return res.optimal
+    return solve_lp([Fraction(0)] * len(points), (a, rhs))
+
+
+def in_convex_hull(point, points):
+    """Exact membership of `point` in the convex hull of `points`."""
+    _check_lengths(points, len(point))
+    if not points:
+        return False
+    return _hull_lp(point, points).optimal
 
 
 def remove_redundant_points(points):
-    """Vertices of the convex hull of a point list.
+    """Vertices of the convex hull of a point list, in the order of their
+    first occurrence; exact duplicates count once.
 
-    Exact duplicates keep their first occurrence; the scan tests each
-    remaining point against all the others currently retained and removes
-    it when it is a convex combination of them.
+    Clarkson's output-sensitive scan ("More output-sensitive geometric
+    algorithms", FOCS 1994).  V holds the hull vertices found so far, and
+    each distinct point p in turn is tested against conv(V) by one LP over
+    |V| columns.  If that LP is infeasible, its Farkas certificate y gives
+    c = -y[:d] with c.p > c.q for every q in V, so the point maximizing c.x
+    over all the points, the lexicographically largest among ties, is a
+    hull vertex that is not in V yet; it joins V (with V empty, c = 0).
+    The test repeats until p is in V or in conv(V).  The scan solves at
+    most n + h LPs of at most h columns each, for n points and h vertices.
     """
-    retained = []
-    seen = set()
-    for p in points:
-        tp = tuple(Fraction(x) for x in p)
-        if tp not in seen:
-            seen.add(tp)
-            retained.append(tp)
-    result = list(retained)
-    i = 0
-    while i < len(result):
-        others = result[:i] + result[i + 1:]
-        if in_convex_hull(result[i], others):
-            result.pop(i)
-        else:
-            i += 1
-    return result
+    pts = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    d = len(pts[0]) if pts else 0
+    _check_lengths(pts, d)
+    verts = []
+    for i, p in enumerate(pts):
+        while i not in verts:
+            c = [0] * d
+            if verts:
+                res = _hull_lp(p, [pts[k] for k in verts])
+                if res.optimal:
+                    break
+                c = [-y for y in res.dual[:d]]
+            verts.append(max(range(len(pts)), key=lambda k: (
+                sum(ci * x for ci, x in zip(c, pts[k])), pts[k])))
+    return [pts[k] for k in sorted(verts)]
