@@ -5,8 +5,7 @@ from .coords import (NormalVector, build_matching_system, forget_orientation,
                      is_admissible, is_compatible, reverse_orientation,
                      vertex_linking_vector)
 from .chi import chi_star
-from .homology import (betti_numbers, compute_h1_basis, dual_cocycle,
-                       homology_map_matrix)
+from .homology import betti_numbers, homology_map_matrix
 from .linalg import (ConeDescription, Ray, enumerate_extreme_rays,
                      remove_redundant_points, solve_lp)
 from .normball import NormBall, Pipeline, ProjectiveVertex, evaluate_norm

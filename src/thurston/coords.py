@@ -148,12 +148,10 @@ class MatchingSystem:
     """Integer matching-equation matrix with its index maps.
 
     rows[r] is a tuple of length num_coords, one per arc class and (in
-    the oriented theory) transverse orientation; col_index maps a disc
-    type to its column.
+    the oriented theory) transverse orientation.
     """
 
     rows: list
-    col_index: dict
     oriented: bool
     num_cols: int
 
@@ -173,7 +171,7 @@ class MatchingSystem:
                    for row in self.sparse_rows)
 
 
-def _arc_disc_columns(tet, face, corner, sign, oriented):
+def arc_disc_columns(tet, face, corner, sign, oriented):
     """Columns of the discs of `tet` whose boundary contains the arc in
     `face` cutting off `corner`, with transverse orientation `sign` in the
     oriented theory: exactly one triangle and one quad."""
@@ -210,18 +208,15 @@ def build_matching_system(tri, oriented=True):
         for corner in FACE_CORNERS[f_m]:
             for s in signs:
                 row = [0] * n
-                cols_m = _arc_disc_columns(tet_m, f_m, corner, s, oriented)
-                cols_p = _arc_disc_columns(
+                cols_m = arc_disc_columns(tet_m, f_m, corner, s, oriented)
+                cols_p = arc_disc_columns(
                     tet_p, f_p, g.perm[corner], s, oriented)
                 for c in cols_m:
                     row[c] += 1
                 for c in cols_p:
                     row[c] -= 1
                 rows.append(tuple(row))
-    col_index = {}
-    for i in range(n):
-        col_index[disc_of_index(i, oriented)] = i
-    return MatchingSystem(rows, col_index, oriented, n)
+    return MatchingSystem(rows, oriented, n)
 
 
 def forget_orientation(x):

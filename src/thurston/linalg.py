@@ -9,7 +9,8 @@ integers or Fractions and every identity checked here is exact.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+
+from .rat import normalize_int_vector
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +59,6 @@ def rank_int(rows):
 def nullspace(rows, ncols):
     """Basis of the rational nullspace of the matrix, one vector per free
     column of the reduced echelon form."""
-    if not rows:
-        return [tuple(Fraction(1 if j == i else 0) for j in range(ncols))
-                for i in range(ncols)]
     m, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -79,9 +77,6 @@ def solve_linear(rows, rhs):
     aug = [list(map(Fraction, row)) + [Fraction(b)]
            for row, b in zip(rows, rhs)]
     m, pivots = rref(aug)
-    for r in range(len(m)):
-        if all(x == 0 for x in m[r][:n]) and m[r][n] != 0:
-            return None
     x = [Fraction(0)] * n
     for r, pc in enumerate(pivots):
         if pc == n:
@@ -94,13 +89,6 @@ def solve_linear(rows, rhs):
 # rays and the double description method
 
 
-def _normalize_int_vector(v):
-    g = gcd(*v)
-    if g <= 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
-
-
 @dataclass(frozen=True, order=True)
 class Ray:
     """An extreme ray with coprime nonnegative integer coordinates."""
@@ -110,7 +98,7 @@ class Ray:
 
     @classmethod
     def from_vector(cls, v):
-        ints = _normalize_int_vector([int(x) for x in v])
+        ints = normalize_int_vector(v)
         return cls(ints, frozenset(i for i, x in enumerate(ints) if x != 0))
 
 
@@ -182,7 +170,7 @@ def enumerate_extreme_rays(cone, reject=None):
                 if any(m != mp and m != mn and m & union == m
                        for m in masks):
                     continue
-                new.append((_normalize_int_vector(
+                new.append((normalize_int_vector(
                     [vp * b - vn * c for c, b in zip(rp, rn)]), union))
         rays = [r for r, _ in new]
         masks = [m for _, m in new]

@@ -183,7 +183,7 @@ class Pipeline:
             ball = [tuple(Fraction(0) for _ in range(b))]
         rec_classes = [hmap.class_of(NormalVector(w, True))
                        for w in recession]
-        return NormBall(variant, b, [list(v) for v in hmap.h1.basis],
+        return NormBall(variant, b, [list(v) for v in hmap.basis],
                         bverts, ball, recession, rec_classes, hmap)
 
     # -- representative search ---------------------------------------------

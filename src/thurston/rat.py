@@ -5,7 +5,7 @@ q > 0 and gcd(|p|, q) = 1, so exactness survives JSON round trips.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def parse_fraction(s):
@@ -40,20 +40,20 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def normalize_int_vector(v):
+    """Divide an integer vector by the gcd of its entries; the zero vector
+    maps to itself."""
+    g = gcd(*v)
+    if g <= 1:
+        return tuple(v)
+    return tuple(x // g for x in v)
+
+
 def primitive_integer_vector(v):
     """Scale a rational vector to coprime integers, preserving direction.
 
     The zero vector maps to itself.  The sign is preserved, not normalized.
     """
-    v = [Fraction(x) for x in v]
-    if all(x == 0 for x in v):
-        return tuple(0 for _ in v)
-    denom_lcm = 1
-    for x in v:
-        d = x.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(x * denom_lcm) for x in v]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    return tuple(n // g for n in ints)
+    den = lcm(*(x.denominator for x in v))
+    return normalize_int_vector([x.numerator * (den // x.denominator)
+                                 for x in v])

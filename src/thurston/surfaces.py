@@ -166,13 +166,12 @@ def _eta(kind, face, corner):
 def _split_components(tri, surface, gluings):
     discs = surface.discs
     n = len(discs)
-    uf = _UnionFind(n)
-    for da, _, db, _, _, _ in gluings:
-        uf.union(da, db)
 
-    # Transverse orientation signs relative to each component's base disc;
-    # a contradiction marks the component 1-sided.
+    # Transverse orientation signs relative to each component's base disc,
+    # its smallest, which also labels the component; a contradiction marks
+    # the component 1-sided.
     sign = [0] * n
+    comp = [0] * n
     two_sided = {}
     adj = [[] for _ in range(n)]
     for da, _, db, _, rel, _ in gluings:
@@ -182,6 +181,7 @@ def _split_components(tri, surface, gluings):
         if sign[root] != 0:
             continue
         sign[root] = 1
+        comp[root] = root
         ok = True
         queue = [root]
         while queue:
@@ -190,11 +190,11 @@ def _split_components(tri, surface, gluings):
                 want = rel * sign[cur]
                 if sign[nxt] == 0:
                     sign[nxt] = want
+                    comp[nxt] = root
                     queue.append(nxt)
                 elif sign[nxt] != want:
                     ok = False
-        two_sided[uf.find(root)] = ok and \
-            two_sided.get(uf.find(root), True)
+        two_sided[root] = ok
     surface._disc_sign = sign
 
     # Surface vertices: orbits of disc corners (disc, tetrahedron edge)
@@ -215,7 +215,7 @@ def _split_components(tri, surface, gluings):
 
     comp_discs = {}
     for i in range(n):
-        comp_discs.setdefault(uf.find(i), []).append(i)
+        comp_discs.setdefault(comp[i], []).append(i)
     comp_verts = {}
     seen_orbits = set()
     for (i, ei), cid in corner_ids.items():
@@ -223,12 +223,10 @@ def _split_components(tri, surface, gluings):
         if orbit in seen_orbits:
             continue
         seen_orbits.add(orbit)
-        comp = uf.find(i)
-        comp_verts[comp] = comp_verts.get(comp, 0) + 1
+        comp_verts[comp[i]] = comp_verts.get(comp[i], 0) + 1
     comp_edges = {}
     for da, _, db, _, _, _ in gluings:
-        comp = uf.find(da)
-        comp_edges[comp] = comp_edges.get(comp, 0) + 1
+        comp_edges[comp[da]] = comp_edges.get(comp[da], 0) + 1
 
     components = []
     for root in sorted(comp_discs):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from thurston.coords import (
-    NormalVector, build_matching_system, disc_index, enumerate_disc_types,
+    NormalVector, build_matching_system, disc_index, disc_of_index,
+    enumerate_disc_types,
     forget_orientation, is_admissible, is_compatible, num_coords,
     quad_conflict_test, reverse_orientation, vertex_linking_vector,
     quad_kind_separating, QUAD_PAIR, QUAD_OPP,
@@ -50,7 +51,8 @@ def test_oriented_rows_have_four_unit_entries(d2):
 def test_column_side_counts(d2):
     # Every oriented triangle column meets 3 equations, every quad 4.
     m = build_matching_system(d2, oriented=True)
-    for (tet, kind, s), col in m.col_index.items():
+    for col in range(m.num_cols):
+        tet, kind, s = disc_of_index(col)
         hits = sum(1 for row in m.rows if row[col] != 0)
         assert hits == (3 if kind < 4 else 4)
 

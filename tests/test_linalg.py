@@ -37,7 +37,7 @@ def test_solve_linear_and_inverse():
     x = solve_linear(a, [5, 10])
     assert x == (Fraction(1), Fraction(3))
     # The I block of the echelon form of [A | I] is the inverse of A, as
-    # compute_h1_basis reads it.
+    # homology.h1_basis reads it.
     m, pivots = rref([row + [int(i == j) for j in range(2)]
                       for i, row in enumerate(a)])
     assert pivots == [0, 1]

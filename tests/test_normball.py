@@ -287,7 +287,7 @@ def test_input_checks_survive_optimize():
         from thurston.coords import (NormalVector, build_matching_system,
                                      forget_orientation, reverse_orientation)
         from thurston.fixtures import load
-        from thurston.homology import dual_cocycle, homology_map_matrix
+        from thurston.homology import homology_map_matrix
         from thurston.normball import Pipeline
         from thurston.rat import dot
         from thurston.surfaces import (assign_transverse_orientation,
@@ -307,8 +307,8 @@ def test_input_checks_survive_optimize():
             "reverse_orientation": lambda: reverse_orientation(u),
             "add": lambda: u + o,
             "class_of": lambda: homology_map_matrix(tri).class_of(u),
-            "dual_cocycle": lambda: dual_cocycle(
-                tri, build_matching_system(tri, False), u),
+            "dual_cocycle": lambda: homology_map_matrix(tri).dual_cocycle(
+                build_matching_system(tri, False), u),
             "assign_transverse_orientation":
                 lambda: assign_transverse_orientation(one, surface, u),
             "is_algebraically_aspherical":

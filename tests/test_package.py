@@ -2,10 +2,14 @@
 non-dunder method of a top-level class, is referenced by name somewhere in
 src, tests, perfbench or pyproject.toml outside its own definition.  A
 word-boundary search stands in for a call graph: a name mentioned only
-where it is defined is dead code."""
+where it is defined is dead code.  The benchmark's hooks into the package,
+which it looks up by name, must also keep resolving."""
 
 import ast
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,3 +50,24 @@ def test_every_definition_is_referenced():
             unreferenced.append("%s:%d %s" % (
                 path.relative_to(ROOT), node.lineno, node.name))
     assert not unreferenced, unreferenced
+
+
+def test_benchmark_hooks_resolve():
+    """The benchmark's tracer wraps program functions by the names its
+    modules import (`normball.homology_map_matrix` among them), its self
+    test calls `betti_numbers`, and its worker builds `NormBall` from eight
+    positional fields.  A rename or a signature change breaks them."""
+    script = textwrap.dedent("""
+        import sys
+        sys.path[:0] = sys.argv[1:]
+        import spans
+        from thurston.homology import betti_numbers
+        from thurston.normball import NormBall
+        spans.Tracer().install()
+        NormBall("strict", 1, [], [], [(1,)], [], [], None)
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "src"),
+         str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
