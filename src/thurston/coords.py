@@ -123,7 +123,9 @@ class NormalVector:
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls(parse_vector(obj["coords"]), bool(obj["oriented"]))
+        if not isinstance(obj["oriented"], bool):
+            raise TypeError('"oriented" must be true or false')
+        return cls(parse_vector(obj["coords"]), obj["oriented"])
 
 
 def enumerate_disc_types(tri):

@@ -197,8 +197,12 @@ class LpResult:
     "unbounded".
 
     For optimal results x is a vertex witness and dual is a dual
-    certificate, verified exactly against the standard-form data after
-    redundant rows are dropped.  For infeasible results dual is a Farkas
+    certificate over the rows of the phase-1 tableau with the redundant
+    rows dropped, that is over B1^-1 A for the final phase-1 basis B1, not
+    over the caller's rows.  With c the maximized objective (its negation
+    when minimizing), y.(B1^-1 A) >= c and y.(B1^-1 b) = c.x are verified
+    exactly inside the solver, but a caller cannot check y against its own
+    system.  For infeasible results dual is a Farkas
     certificate y, indexed over the equality rows and then the bound rows
     that solve_lp appends: y.A >= 0 on every column of the standard-form
     matrix A and y.b < 0, both verified exactly.  Unbounded results carry
@@ -215,38 +219,42 @@ class LpResult:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions for max c.x, Ax = b, x >= 0."""
+    """Simplex tableau over Fractions for max c.x, Ax = b, x >= 0.
 
-    def __init__(self, a, b, c):
-        self.m = len(a)
-        self.n = len(a[0]) if a else len(c)
-        self.rows = [[Fraction(x) for x in row] + [Fraction(bi)]
-                     for row, bi in zip(a, b)]
-        self.c = [Fraction(x) for x in c]
-        self.basis = [None] * self.m
+    `rows` holds B^-1 [A | b] for the basis listed in `basis`, and `z` is
+    the reduced-cost row [c | 0] - c_B B^-1 [A | b], which `pivot`
+    eliminates along with the other rows: z is 0 on basic columns and
+    z[-1] is minus the objective value of the basic solution."""
+
+    def __init__(self, rows, basis, c):
+        self.rows = rows
+        self.basis = basis
+        self.c = c
+        self.z = c + [Fraction(0)]
+        for row, bj in zip(rows, basis):
+            if c[bj] != 0:
+                self.z = [zj - c[bj] * x for zj, x in zip(self.z, row)]
 
     def pivot(self, r, col):
+        self.rows.append(self.z)
         _pivot(self.rows, r, col)
+        self.z = self.rows.pop()
         self.basis[r] = col
 
     def solve(self):
         """Bland's rule primal simplex from the current basis; the basis
         must already be feasible.  Returns "optimal" or "unbounded"."""
-        zrow = self._objective_row()
         while True:
-            enter = None
-            for j in range(self.n):
-                if j not in self.basis and zrow[j] > 0:
-                    enter = j
-                    break
+            enter = next((j for j, zj in enumerate(self.z[:-1]) if zj > 0),
+                         None)
             if enter is None:
                 return "optimal"
             leave = None
             best = None
-            for i in range(self.m):
-                aij = self.rows[i][enter]
+            for i, row in enumerate(self.rows):
+                aij = row[enter]
                 if aij > 0:
-                    ratio = self.rows[i][-1] / aij
+                    ratio = row[-1] / aij
                     if best is None or ratio < best or \
                             (ratio == best and self.basis[i] < self.basis[leave]):
                         best = ratio
@@ -254,108 +262,73 @@ class _Tableau:
             if leave is None:
                 return "unbounded"
             self.pivot(leave, enter)
-            zrow = self._objective_row()
 
-    def _objective_row(self):
-        z = list(self.c)
-        for i, bj in enumerate(self.basis):
-            cb = self.c[bj]
-            if cb != 0:
-                for j in range(self.n):
-                    z[j] -= cb * self.rows[i][j]
-        return z
-
-    def solution(self):
-        x = [Fraction(0)] * self.n
-        for i, bj in enumerate(self.basis):
-            x[bj] = self.rows[i][-1]
-        return x
-
-    def objective(self):
-        return sum(self.c[j] * xj for j, xj in enumerate(self.solution()))
-
-
-def _phase1_dual(t, n):
-    """y = c_B B^-1 of a phase-1 tableau whose columns from n on started as
-    the identity: those columns of the tableau now hold B^-1."""
-    return [sum(t.c[bj] * t.rows[i][n + k] for i, bj in enumerate(t.basis))
-            for k in range(t.m)]
+    def dual(self, cols):
+        """y = c_B B^-1 read from columns that started as the identity:
+        there z[j] = c[j] - y.e_k."""
+        return [self.c[j] - self.z[j] for j in cols]
 
 
 def _simplex_standard(a, b, c):
     """max c.x s.t. Ax = b, x >= 0 with verified certificates.
 
-    Returns (status, value, x, y).  When status is optimal, y satisfies
-    A^T y >= c and y.b == value on the system with redundant rows dropped.
-    When it is infeasible, y is a Farkas certificate for the rows of A as
-    given: y.A >= 0 on every column and y.b < 0.  Phase 1 maximizes minus
-    the sum of the artificials, so at its optimum its dual y' satisfies
-    y'.A' >= 0 and y'.b' = objective < 0, where A', b' have the rows with
-    negative right-hand side negated; negating those entries of y' gives y.
+    Returns (status, value, x, y).  Phase 1 maximizes minus the sum of one
+    artificial column per row, on the rows with negative right-hand side
+    negated.  When its optimum is below 0, the system is infeasible and its
+    dual y', read from the artificial columns, satisfies y'.A' >= 0 and
+    y'.b' < 0 for the negated system; negating those entries of y' gives a
+    Farkas certificate y for the rows of A as given.  Otherwise each
+    artificial still basic is pivoted out on a nonzero entry of its row in
+    A; a row with none is redundant and dropped.  Phase 2 runs on the
+    remaining phase-1 rows, B1^-1 A, in which the phase-1 basis columns
+    are unit vectors.  When it is optimal,
+    y is the dual read from those columns: it satisfies y.(B1^-1 A) >= c
+    and y.(B1^-1 b) == value, over the rows of that reduced system, not
+    over the rows of A.
     """
     m = len(a)
     n = len(c)
-    a_in, b_in = a, b
-    a = [list(row) for row in a]
-    b = list(b)
     flipped = [bi < 0 for bi in b]
-    for i in range(m):
-        if flipped[i]:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-    # Phase 1: artificial variables, minimize their sum.
+    rows = [[Fraction(-x if f else x) for x in row]
+            + [Fraction(int(k == i)) for k in range(m)]
+            + [Fraction(-bi if f else bi)]
+            for i, (row, bi, f) in enumerate(zip(a, b, flipped))]
     art = list(range(n, n + m))
-    a1 = [row + [Fraction(1 if k == i else 0) for k in range(m)]
-          for i, row in enumerate(a)]
-    c1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    t = _Tableau(a1, b, c1)
-    for i in range(m):
-        t.basis[i] = art[i]
+    t = _Tableau(rows, list(art), [Fraction(0)] * n + [Fraction(-1)] * m)
     if t.solve() != "optimal":
         raise ArithmeticError("phase 1 objective unbounded")
-    if t.objective() != 0:
-        y = [-yi if f else yi for yi, f in zip(_phase1_dual(t, n), flipped)]
-        if any(sum(yi * row[j] for yi, row in zip(y, a_in)) < 0
+    if t.z[-1] != 0:
+        y = [-yi if f else yi for yi, f in zip(t.dual(art), flipped)]
+        if any(sum(yi * row[j] for yi, row in zip(y, a)) < 0
                for j in range(n)):
             raise ArithmeticError("Farkas certificate violated")
-        if sum(yi * bi for yi, bi in zip(y, b_in)) >= 0:
+        if sum(yi * bi for yi, bi in zip(y, b)) >= 0:
             raise ArithmeticError("Farkas certificate does not separate")
         return "infeasible", None, None, tuple(y)
     # Drive remaining artificials out of the basis; drop redundant rows.
     keep = []
-    for i in range(t.m):
+    for i in range(m):
         if t.basis[i] >= n:
-            piv = None
-            for j in range(n):
-                if t.rows[i][j] != 0:
-                    piv = j
-                    break
+            piv = next((j for j in range(n) if t.rows[i][j] != 0), None)
             if piv is None:
                 continue          # redundant equation
             t.pivot(i, piv)
         keep.append(i)
-    a2 = [[t.rows[i][j] for j in range(n)] for i in keep]
-    b2 = [t.rows[i][-1] for i in keep]
-    # Phase 2 on the reduced (row-equivalent, full-rank) system.
-    t2 = _Tableau(a2, b2, c)
-    t2.basis = [t.basis[i] for i in keep]
-    status = t2.solve()
-    if status == "unbounded":
+    reduced = [t.rows[i][:n] + t.rows[i][-1:] for i in keep]
+    basis1 = [t.basis[i] for i in keep]
+    t2 = _Tableau(list(reduced), list(basis1), c)
+    if t2.solve() == "unbounded":
         return "unbounded", None, None, None
-    x = t2.solution()
+    x = [Fraction(0)] * n
+    for row, bj in zip(t2.rows, t2.basis):
+        x[bj] = row[-1]
     value = sum(ci * xi for ci, xi in zip(c, x))
-    # Dual certificate for the reduced system: y^T B = c_B over the final
-    # basis, verified exactly for dual feasibility and strong duality.
-    basis_cols = t2.basis
-    sys = [[a2[i][j] for i in range(len(a2))] for j in basis_cols]
-    y = solve_linear(sys, [c[j] for j in basis_cols])
-    if y is None:
-        raise ArithmeticError("final basis is singular")
+    # Dual feasibility and strong duality, checked on the reduced system.
+    y = t2.dual(basis1)
     for j in range(n):
-        red = c[j] - sum(yi * row[j] for yi, row in zip(y, a2))
-        if red > 0:
+        if c[j] - sum(yi * row[j] for yi, row in zip(y, reduced)) > 0:
             raise ArithmeticError("dual certificate violated")
-    if sum(yi * bi for yi, bi in zip(y, b2)) != value:
+    if sum(yi * row[-1] for yi, row in zip(y, reduced)) != value:
         raise ArithmeticError("dual objective mismatch")
     return "optimal", value, tuple(x), tuple(y)
 
@@ -370,7 +343,9 @@ def solve_lp(objective, equalities, upper=None, maximize=True):
     LpResult whose value and witness are exact rationals; infeasible and
     unbounded are statuses, not exceptions.  An infeasible result's dual is
     a Farkas certificate over the equality rows, then the bound rows, in
-    that order (see LpResult).  Raises ValueError when a row's length, the
+    that order; an optimal result's dual is over the rows of the phase-1
+    tableau with the redundant rows dropped, not over these rows (see
+    LpResult).  Raises ValueError when a row's length, the
     number of right-hand sides or the length of `upper` does not match.
     """
     a, rhs = equalities

@@ -17,7 +17,7 @@ from math import lcm
 
 from .chi import chi_star_coefficients
 from .coords import (NormalVector, build_matching_system, forget_orientation,
-                     is_admissible, num_coords, quad_conflict_test)
+                     num_coords, quad_conflict_test)
 from .homology import homology_map_matrix
 from .linalg import (ConeDescription, enumerate_extreme_rays,
                      remove_redundant_points, rref, solve_lp)
@@ -232,9 +232,9 @@ class Pipeline:
 
     def _integral_points(self, rows, rhs, w):
         """Lexicographic DFS over nonnegative integer vectors satisfying
-        the equality system, with admissibility pruning, incremental
-        per-row interval pruning, and an exact LP relaxation at surviving
-        interior nodes.
+        the equality system, with admissibility pruning on the prefix's
+        support bitmask (`quad_conflict`), incremental per-row interval
+        pruning, and an exact LP relaxation at surviving interior nodes.
 
         The relaxation asks whether the remaining coordinates have a
         nonnegative rational completion.  It keeps only a subset of `rows`
@@ -285,11 +285,9 @@ class Pipeline:
                             [residual[i] for i in spanning]))
             return res.optimal
 
-        def admissible_prefix(k):
-            x = NormalVector(tuple(prefix) + (0,) * (n - k), True)
-            return is_admissible(x)
+        conflict = self.quad_conflict[True]
 
-        def rec():
+        def rec(mask):
             k = len(prefix)
             if k == n:
                 yield NormalVector(tuple(prefix), True)
@@ -301,16 +299,16 @@ class Pipeline:
                     for i in range(nrows):
                         residual[i] -= rows[i][k] * v
                 rem = w - used - v
-                if (v == 0 or admissible_prefix(k + 1)) \
-                        and intervals_ok(k + 1, rem) \
+                supp = mask | 1 << k if v else mask
+                if not conflict(supp) and intervals_ok(k + 1, rem) \
                         and (k + 1 == n or feasible_completion(k + 1)):
-                    yield from rec()
+                    yield from rec(supp)
                 if v:
                     for i in range(nrows):
                         residual[i] += rows[i][k] * v
                 prefix.pop()
 
-        yield from rec()
+        yield from rec(0)
 
     def _try_representative(self, x):
         surface = reconstruct_surface(self.tri, forget_orientation(x),

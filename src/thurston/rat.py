@@ -9,7 +9,10 @@ from math import gcd, lcm
 
 
 def parse_fraction(s):
-    """Parse "p/q" or a plain integer string into a Fraction."""
+    """Parse "p/q", a plain integer string or an int into a Fraction;
+    a bool is not a number here."""
+    if isinstance(s, bool):
+        raise TypeError("expected a number, got %r" % s)
     if isinstance(s, int):
         return Fraction(s)
     text = s.strip()

@@ -137,7 +137,8 @@ def parse_triangulation(text):
                 raise TriangulationError(
                     "tet %d face %d: expected [target, perm]" % (k, f))
             tgt, perm_str = item
-            if not isinstance(tgt, int) or not 0 <= tgt < t:
+            if not isinstance(tgt, int) or isinstance(tgt, bool) \
+                    or not 0 <= tgt < t:
                 raise TriangulationError(
                     "tet %d face %d: target index out of range" % (k, f))
             if not isinstance(perm_str, str) or len(perm_str) != 4 \

@@ -47,6 +47,15 @@ def test_validate_invalid_exit_1(tmp_path, capsys):
     assert not doc["valid"] and doc["errors"]
 
 
+def test_boolean_target_is_parse_error(tmp_path, capsys):
+    """JSON true is not tetrahedron 1."""
+    bad = tmp_path / "bool.json"
+    bad.write_text(fixture_json("d2").replace("[1,", "[true,"))
+    code, out = _run(capsys, ["validate", str(bad)])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "parse-error"
+
+
 def test_parse_error_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -225,6 +234,10 @@ def test_surface_bad_coords(paths, capsys):
     '{"oriented": false, "coords": 5}',
     '{"oriented": false, "coords": [1.5]}',
     '{"oriented": false, "coords": ["1/0"]}',
+    pytest.param(json.dumps({"oriented": False, "coords": [True] + [0] * 13}),
+                 id="boolean-coordinate"),
+    pytest.param(json.dumps({"oriented": "false", "coords": [0] * 28}),
+                 id="string-oriented-flag"),
 ])
 def test_surface_malformed_coords(paths, capsys, payload):
     code, out = _run(capsys, ["surface", paths["d2"], "--coords", payload])

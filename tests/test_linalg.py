@@ -399,9 +399,8 @@ def test_dual_certificate_check_survives_optimize():
     out = _run_optimized("""
         import sys
         import thurston.linalg as linalg
-        solve = linalg.solve_linear
-        linalg.solve_linear = lambda rows, rhs: tuple(
-            y + 1 for y in solve(rows, rhs))
+        dual = linalg._Tableau.dual
+        linalg._Tableau.dual = lambda t, cols: [y + 1 for y in dual(t, cols)]
         try:
             linalg.solve_lp([1, 0], ([[1, 1]], [1]))
         except ArithmeticError as e:
@@ -418,8 +417,8 @@ def test_farkas_certificate_check_survives_optimize():
     out = _run_optimized("""
         import sys
         import thurston.linalg as linalg
-        dual = linalg._phase1_dual
-        linalg._phase1_dual = lambda t, n: [-y for y in dual(t, n)]
+        dual = linalg._Tableau.dual
+        linalg._Tableau.dual = lambda t, cols: [-y for y in dual(t, cols)]
         try:
             linalg.solve_lp([1], ([[1]], [-1]))
         except ArithmeticError as e:

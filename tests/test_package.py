@@ -3,7 +3,8 @@ non-dunder method of a top-level class, is referenced by name somewhere in
 src, tests, perfbench or pyproject.toml outside its own definition.  A
 word-boundary search stands in for a call graph: a name mentioned only
 where it is defined is dead code.  The benchmark's hooks into the package,
-which it looks up by name, must also keep resolving."""
+which it looks up by name, must also keep resolving, and no module uses
+`assert`, which python -O strips, for a check."""
 
 import ast
 import re
@@ -50,6 +51,15 @@ def test_every_definition_is_referenced():
             unreferenced.append("%s:%d %s" % (
                 path.relative_to(ROOT), node.lineno, node.name))
     assert not unreferenced, unreferenced
+
+
+def test_no_assert_statements():
+    """A certifying check raises: python -O strips assert statements."""
+    found = ["%s:%d" % (path.relative_to(ROOT), node.lineno)
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def test_benchmark_hooks_resolve():
