@@ -15,7 +15,7 @@ import sys
 from .coords import NormalVector, forget_orientation, num_coords
 from .normball import (DegenerateNormBall, NormBallError, Pipeline,
                        evaluate_norm)
-from .rat import format_fraction, format_vector
+from .rat import format_fraction, format_vector, parse_int
 from .surfaces import reconstruct_surface
 from .triangulation import (InvalidTriangulation, TriangulationError,
                             parse_triangulation, validate_and_orient,
@@ -124,7 +124,7 @@ def cmd_ball(args):
 
 def _parse_class(text, b):
     try:
-        values = [int(x) for x in text.split(",")] if text else []
+        values = [parse_int(x) for x in text.split(",")] if text else []
     except ValueError:
         raise CliError("bad-class", "class vector must be integers")
     if len(values) != b:
@@ -205,6 +205,17 @@ def cmd_efficiency(args):
     return 0
 
 
+def _weight(text):
+    """--max-weight: a nonnegative integer in ASCII digits."""
+    try:
+        value = parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("negative weight: %r" % text)
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Turns a usage error into a CliError, hence a JSON error with exit
     code 1; the usage line still goes to standard error."""
@@ -253,7 +264,7 @@ def build_parser():
                        help="search for a taut normal representative")
     p.add_argument("file")
     p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--max-weight", type=int, required=True)
+    p.add_argument("--max-weight", type=_weight, required=True)
     p.set_defaults(func=cmd_representative)
 
     p = sub.add_parser("efficiency", help="0-efficiency diagnostic")

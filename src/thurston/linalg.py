@@ -128,10 +128,24 @@ def enumerate_extreme_rays(cone, reject=None):
     Prodon, "Double description method revisited", 1996).  A new ray is a
     positive combination of two nonnegative rays, so its support is
     exactly S, and it lies inside the 2-face its pair spans, which no
-    other pair spans, so the new rays need no deduplication.  A cheaper
-    necessary condition runs first: the face spanned by S has dimension
-    at least |S| minus the processed row count, so a pair with |S| - 2
-    above that count is not adjacent.
+    other pair spans, so the new rays need no deduplication.
+
+    A row that vanishes on every listed ray is skipped: it removes no ray
+    and adds none.  A cheaper necessary condition runs before the support
+    test.  Let r count the rows not skipped so far.  The face of the
+    current cone with support inside S holds a point of full support S,
+    the sum of the pair, so its dimension is |S| minus the rank of the
+    processed rows restricted to S, and adjacency needs dimension 2.  That
+    rank is at most r, so a pair with |S| - 2 > r is not adjacent.  The
+    reason is that a skipped row restricted to S lies in the span of the
+    earlier rows restricted to S, whenever `reject` (below) accepts S; a
+    pair whose union it rejects is dropped anyway.  The face with support
+    inside S of the cone those earlier rows cut out is spanned by its
+    extreme rays.  They were listed when the row came, because their
+    supports lie inside S and the filter is monotone, so the row vanishes
+    on them.  That face also holds the same point of full support S, so
+    it spans the kernel of the earlier rows restricted to S, and the row
+    vanishes on that kernel.
 
     `reject(mask)` is a predicate on support bitmasks (bit i for
     coordinate i) and must be monotone: if it rejects S it rejects every
@@ -153,9 +167,12 @@ def enumerate_extreme_rays(cone, reject=None):
         if reject is None or not reject(1 << i):
             rays.append(tuple(1 if j == i else 0 for j in range(dim)))
             masks.append(1 << i)
-    for nproc, a in enumerate(rows):
+    cuts = 0
+    for a in rows:
         terms = [(j, c) for j, c in enumerate(a) if c]
         vals = [sum(c * r[j] for j, c in terms) for r in rays]
+        if not any(vals):
+            continue
         zero = [(r, m) for r, m, v in zip(rays, masks, vals) if v == 0]
         pos = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v > 0]
         neg = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v < 0]
@@ -163,7 +180,7 @@ def enumerate_extreme_rays(cone, reject=None):
         for rp, mp, vp in pos:
             for rn, mn, vn in neg:
                 union = mp | mn
-                if union.bit_count() - 2 > nproc:
+                if union.bit_count() - 2 > cuts:
                     continue
                 if reject is not None and reject(union):
                     continue
@@ -174,6 +191,7 @@ def enumerate_extreme_rays(cone, reject=None):
                     [vp * b - vn * c for c, b in zip(rp, rn)]), union))
         rays = [r for r, _ in new]
         masks = [m for _, m in new]
+        cuts += 1
     return sorted(Ray.from_vector(r) for r in rays)
 
 
@@ -196,7 +214,8 @@ class LpResult:
     """Outcome of solve_lp.  status is "optimal", "infeasible" or
     "unbounded".
 
-    For optimal results x is a vertex witness and dual is a dual
+    For optimal results x is a vertex witness, checked exactly against
+    x >= 0, the caller's rows and its upper bounds, and dual is a dual
     certificate over the rows of the phase-1 tableau with the redundant
     rows dropped, that is over B1^-1 A for the final phase-1 basis B1, not
     over the caller's rows.  With c the maximized objective (its negation
@@ -341,7 +360,9 @@ def solve_lp(objective, equalities, upper=None, maximize=True):
     x_j + s_j = u_j with its own slack column s_j, after the equality
     rows and the variables; minimizing maximizes -objective.x.  Returns an
     LpResult whose value and witness are exact rationals; infeasible and
-    unbounded are statuses, not exceptions.  An infeasible result's dual is
+    unbounded are statuses, not exceptions.  An optimal result's witness
+    is checked exactly against x >= 0, the equalities and `upper` before
+    it is returned.  An infeasible result's dual is
     a Farkas certificate over the equality rows, then the bound rows, in
     that order; an optimal result's dual is over the rows of the phase-1
     tableau with the redundant rows dropped, not over these rows (see
@@ -370,6 +391,14 @@ def solve_lp(objective, equalities, upper=None, maximize=True):
         return LpResult(status, dual=y)
     if status != "optimal":
         return LpResult(status)
+    # The witness over the standard form: x >= 0 with every row met, the
+    # bound rows x_j + s_j = u_j included, is x >= 0, A x = rhs and
+    # x <= upper for the caller's system.
+    support = [(j, xj) for j, xj in enumerate(x) if xj]
+    if any(xj < 0 for _, xj in support) or any(
+            sum(row[j] * xj for j, xj in support) != bi
+            for row, bi in zip(a, b)):
+        raise ArithmeticError("primal witness violated")
     return LpResult("optimal", value if maximize else -value, x[:n], y)
 
 

@@ -243,6 +243,15 @@ class Pipeline:
         residuals at every node, so the feasible set is unchanged.  It
         passes no upper bounds: the weight row (all ones, right-hand side
         `w`) already bounds every remaining coordinate by the weight left.
+
+        A node at depth k hands its completion x, over columns k, k+1,
+        ..., down to its children; `solve_lp` checks its witness exactly
+        before returning it.  The child that sets column k to x[0] needs
+        no LP: its residual on the kept rows is the node's minus column k
+        times x[0], which x[1:] meets exactly, and x[1:] is nonnegative,
+        so x[1:] is that child's completion.  A node whose completion came
+        from its parent passes it on in the same way.
+
         Either way the output is exact, because the LP only prunes: the
         DFS itself never exceeds the weight `w`, and every leaf is checked
         against all rows exactly, so a looser relaxation (an inconsistent
@@ -279,15 +288,20 @@ class Pipeline:
                     return False
             return True
 
-        def feasible_completion(k):
-            res = solve_lp([Fraction(0)] * (n - k),
-                           ([rows[i][k:] for i in spanning],
-                            [residual[i] for i in spanning]))
-            return res.optimal
+        def completion(k, parent):
+            """A nonnegative completion of columns k, k+1, ... on the
+            spanning rows, or None: the tail of the parent's completion
+            when that gave column k - 1 the value just chosen, else the
+            LP's witness."""
+            if parent is not None and parent[0] == prefix[-1]:
+                return parent[1:]
+            return solve_lp([Fraction(0)] * (n - k),
+                            ([rows[i][k:] for i in spanning],
+                             [residual[i] for i in spanning])).x
 
         conflict = self.quad_conflict[True]
 
-        def rec(mask):
+        def rec(mask, x):
             k = len(prefix)
             if k == n:
                 yield NormalVector(tuple(prefix), True)
@@ -300,15 +314,17 @@ class Pipeline:
                         residual[i] -= rows[i][k] * v
                 rem = w - used - v
                 supp = mask | 1 << k if v else mask
-                if not conflict(supp) and intervals_ok(k + 1, rem) \
-                        and (k + 1 == n or feasible_completion(k + 1)):
-                    yield from rec(supp)
+                if not conflict(supp) and intervals_ok(k + 1, rem):
+                    if k + 1 == n:
+                        yield from rec(supp, None)
+                    elif (child := completion(k + 1, x)) is not None:
+                        yield from rec(supp, child)
                 if v:
                     for i in range(nrows):
                         residual[i] += rows[i][k] * v
                 prefix.pop()
 
-        yield from rec(0)
+        yield from rec(0, None)
 
     def _try_representative(self, x):
         surface = reconstruct_surface(self.tri, forget_orientation(x),

@@ -8,6 +8,15 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def parse_int(text):
+    """Parse an optional "-" followed by ASCII digits; unlike int(), no
+    sign "+", whitespace, underscore or non-ASCII digit."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not an integer: %r" % text)
+    return int(text)
+
+
 def parse_fraction(s):
     """Parse "p/q", a plain integer string or an int into a Fraction;
     a bool is not a number here."""
@@ -18,8 +27,8 @@ def parse_fraction(s):
     text = s.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(parse_int(num), parse_int(den))
+    return Fraction(parse_int(text))
 
 
 def format_fraction(x):

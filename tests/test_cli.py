@@ -76,6 +76,7 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize("options", [
     ["--class", "1", "--max-weight", "x"],
     ["--max-weight", "2"],
+    ["--class", "", "--max-weight", "-1"],
 ])
 def test_usage_error_is_json_exit_1(paths, capsys, options):
     code, out = _run(capsys, ["representative", paths["d2"]] + options)
@@ -177,6 +178,14 @@ def test_norm_dimension_mismatch(paths, capsys):
     assert json.loads(out)["error"]["code"] == "class-dimension-mismatch"
 
 
+@pytest.mark.parametrize("cls", ["1_0", "\u0661", "+1", " 1"])
+def test_norm_class_needs_ascii_digits(paths, capsys, cls):
+    """int() would read "1_0" as 10 and the Arabic-Indic digit one as 1."""
+    code, out = _run(capsys, ["norm", paths["two_tet_b1"], "--class", cls])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "bad-class"
+
+
 def test_norm_zero_class(paths, capsys):
     code, out = _run(capsys, ["norm", paths["d2"], "--class", ""])
     assert code == 0
@@ -238,6 +247,11 @@ def test_surface_bad_coords(paths, capsys):
                  id="boolean-coordinate"),
     pytest.param(json.dumps({"oriented": "false", "coords": [0] * 28}),
                  id="string-oriented-flag"),
+    pytest.param(json.dumps({"oriented": False, "coords": ["1_0/1"] * 14}),
+                 id="underscore-numerator"),
+    pytest.param(json.dumps({"oriented": False,
+                             "coords": ["1/\u0661"] * 14}),
+                 id="non-ascii-denominator"),
 ])
 def test_surface_malformed_coords(paths, capsys, payload):
     code, out = _run(capsys, ["surface", paths["d2"], "--coords", payload])

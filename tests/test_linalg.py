@@ -101,9 +101,11 @@ def _brute_force_rays(rows, dim):
 
 def _random_cone(rng):
     """Up to three random rows over -2..2, then up to three integer
-    combinations of them.  The dependent rows make the processed row count
-    exceed the rank, so the DD cannot rely on its row-count bound and the
-    support test has to reject the non-adjacent pairs."""
+    combinations of them.  A combination sorted after the rows it
+    combines vanishes on the cone they cut out, so the DD skips it and
+    leaves it out of its row count; the differential tests below check
+    that neither the skip nor the row-count bound drops an adjacent
+    pair."""
     dim = rng.randint(1, 8)
     base = [[rng.randint(-2, 2) for _ in range(dim)]
             for _ in range(rng.randint(0, 3))]
@@ -409,6 +411,35 @@ def test_dual_certificate_check_survives_optimize():
         sys.exit(1)
     """)
     assert out.split()[0] == "1"
+
+
+def test_primal_witness_check_survives_optimize():
+    """Under python -O a corrupted witness still makes solve_lp raise: one
+    that misses a row, one with a negative entry and one above its upper
+    bound.  The script prints the cases that did not raise."""
+    out = _run_optimized("""
+        import sys
+        import thurston.linalg as linalg
+        simplex = linalg._simplex_standard
+        cases = {
+            "row": ([[1, 1]], [1], None, lambda x: (x[0] + 1,) + x[1:]),
+            "sign": ([[1, 1]], [2], None, lambda x: (3, -1)),
+            "upper": ([[1, 1]], [2], [1, 1], lambda x: (2, 0, -1, 1)),
+        }
+        missed = []
+        for name, (a, b, upper, corrupt) in cases.items():
+            def corrupted(*args):
+                status, value, x, y = simplex(*args)
+                return status, value, corrupt(x), y
+            linalg._simplex_standard = corrupted
+            try:
+                linalg.solve_lp([1, 0], (a, b), upper)
+            except ArithmeticError:
+                continue
+            missed.append(name)
+        print(sys.flags.optimize, " ".join(missed))
+    """)
+    assert out.split() == ["1"], out
 
 
 def test_farkas_certificate_check_survives_optimize():

@@ -8,11 +8,12 @@ from functools import cache
 import pytest
 
 import thurston
+import thurston.normball as normball
 from thurston.chi import chi_star
 from thurston.coords import NormalVector, forget_orientation, \
     is_admissible, quad_conflict_test, vertex_linking_vector
 from thurston.fixtures import load, names
-from thurston.linalg import enumerate_extreme_rays, is_extreme_ray
+from thurston.linalg import enumerate_extreme_rays, is_extreme_ray, solve_lp
 from thurston.normball import (DegenerateNormBall, NormBall, NormBallError,
                                Pipeline, evaluate_norm)
 
@@ -192,6 +193,30 @@ def test_integral_points_match_brute_force(name, w):
     rows, rhs = _search_system(pipe, w)
     found = [x.coords for x in pipe._integral_points(rows, rhs, w)]
     assert found == expected
+
+
+@pytest.mark.parametrize("name,w,calls,points", [
+    ("one_tet", 1, 3, 0), ("one_tet", 2, 13, 1), ("one_tet", 3, 14, 0),
+    ("d2", 2, 24, 14)])
+def test_integral_point_search_lp_count(monkeypatch, name, w, calls,
+                                        points):
+    """A node whose parent's completion gives its column the value just
+    chosen reuses that completion instead of solving an LP.  The counts
+    are exact on one_tet and a ceiling on d2 (309 LPs with no reuse)."""
+    counted = []
+
+    def counting_solve_lp(*args, **kwargs):
+        counted.append(None)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(normball, "solve_lp", counting_solve_lp)
+    pipe = _pipe(name)
+    assert len(list(pipe._integral_points(*_search_system(pipe, w), w))) \
+        == points
+    if name == "one_tet":
+        assert len(counted) == calls
+    else:
+        assert len(counted) <= calls
 
 
 @pytest.mark.parametrize("name,w", [("one_tet", 2), ("d2", 1)])
