@@ -110,6 +110,27 @@ class ConeDescription:
     dim: int
 
 
+def _pack_chunks(masks, dim):
+    """The masks packed into integers, one block of dim + 1 bits per mask
+    with its top (guard) bit clear, in chunks of 1, 2, 4, ... masks in
+    list order.  Each chunk comes with the block-repeating multiplier
+    `ones`, the value 2**dim - 1 and the guard bit in every block, and
+    its mask count."""
+    width = dim + 1
+    chunks = []
+    start = 0
+    while start < len(masks):
+        part = masks[start:2 * start + 1]
+        start += len(part)
+        packed = 0
+        for k, m in enumerate(part):
+            packed |= m << k * width
+        ones = ((1 << width * len(part)) - 1) // ((1 << width) - 1)
+        chunks.append((packed, ones, ones * ((1 << dim) - 1), ones << dim,
+                       len(part)))
+    return chunks
+
+
 def enumerate_extreme_rays(cone, reject=None):
     """All extreme rays of {x >= 0 : Ax = 0}, one canonical representative
     each, sorted by coordinates; with `reject`, only those whose support
@@ -129,6 +150,24 @@ def enumerate_extreme_rays(cone, reject=None):
     positive combination of two nonnegative rays, so its support is
     exactly S, and it lies inside the 2-face its pair spans, which no
     other pair spans, so the new rays need no deduplication.
+
+    The test counts the current rays with support inside S using integer
+    arithmetic over many masks at once.  Once per hyperplane, when the
+    first pair reaches this test, the masks are packed into integers, each
+    mask in a block of dim + 1 bits: its dim support bits under a clear
+    guard bit.  ANDing a packed integer with the complement of S, repeated
+    into every block, leaves a block zero exactly when its mask lies
+    inside S.  Adding 2**dim - 1 to every block then sets the guard bit of
+    exactly the nonzero blocks, and no carry passes a guard: a block holds
+    less than 2**dim, so its sum stays below 2**(dim + 1).  So the mask
+    count minus the guard bits set is the number of masks inside S.  That
+    number includes the pair itself, and the pair is adjacent when it is
+    2.  The masks go into chunks of 1, 2, 4, ... masks in list order, and
+    the count stops at the first chunk that takes it past 2.  A pair with
+    a third ray inside S, the common case on large cones, thus stops
+    within about twice the prefix that a scan of the masks would read
+    before finding that ray, and an adjacent pair costs a logarithmic
+    number of word-parallel operations.
 
     A row that vanishes on every listed ray is skipped: it removes no ray
     and adds none.  A cheaper necessary condition runs before the support
@@ -159,6 +198,10 @@ def enumerate_extreme_rays(cone, reject=None):
     the accepted subset of the unfiltered result, in the same order.
     """
     dim = cone.dim
+    if any(len(r) != dim for r in cone.rows):
+        raise ValueError("every row needs one entry per coordinate (%d)"
+                         % dim)
+    full = (1 << dim) - 1
     rows = sorted(set(tuple(int(x) for x in r) for r in cone.rows
                       if any(x != 0 for x in r)))
     rays = []
@@ -176,6 +219,7 @@ def enumerate_extreme_rays(cone, reject=None):
         zero = [(r, m) for r, m, v in zip(rays, masks, vals) if v == 0]
         pos = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v > 0]
         neg = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v < 0]
+        chunks = None
         new = list(zero)
         for rp, mp, vp in pos:
             for rn, mn, vn in neg:
@@ -184,11 +228,18 @@ def enumerate_extreme_rays(cone, reject=None):
                     continue
                 if reject is not None and reject(union):
                     continue
-                if any(m != mp and m != mn and m & union == m
-                       for m in masks):
-                    continue
-                new.append((normalize_int_vector(
-                    [vp * b - vn * c for c, b in zip(rp, rn)]), union))
+                if chunks is None:
+                    chunks = _pack_chunks(masks, dim)
+                outside = full ^ union
+                inside = 0
+                for packed, ones, low, guards, count in chunks:
+                    x = packed & outside * ones
+                    inside += count - ((x + low) & guards).bit_count()
+                    if inside > 2:
+                        break
+                else:
+                    new.append((normalize_int_vector(
+                        [vp * b - vn * c for c, b in zip(rp, rn)]), union))
         rays = [r for r, _ in new]
         masks = [m for _, m in new]
         cuts += 1

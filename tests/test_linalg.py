@@ -12,14 +12,14 @@ import pytest
 
 import thurston
 import thurston.linalg as linalg
-from thurston.coords import build_matching_system
-from thurston.fixtures import load
+from thurston.coords import build_matching_system, quad_conflict_test
+from thurston.fixtures import load, names
 from thurston.linalg import (
     ConeDescription, Ray, enumerate_extreme_rays, in_convex_hull,
     is_extreme_ray, nullspace, rank_int,
     remove_redundant_points, rref, solve_linear, solve_lp,
 )
-from thurston.rat import primitive_integer_vector
+from thurston.rat import normalize_int_vector, primitive_integer_vector
 
 
 def test_rank_and_nullspace():
@@ -158,11 +158,108 @@ def test_filtered_extreme_rays_match_brute_force_on_random_cones():
     assert kept > 100 and dropped > 100
 
 
+def _reference_rays(cone, reject=None):
+    """The double description with the adjacency test as a scan of every
+    current mask: a pair is adjacent when no third mask lies inside the
+    union of its supports.  The same row order, row skip, row-count bound
+    and filter as enumerate_extreme_rays."""
+    dim = cone.dim
+    rows = sorted(set(tuple(int(x) for x in r) for r in cone.rows
+                      if any(x != 0 for x in r)))
+    rays = []
+    masks = []
+    for i in range(dim):
+        if reject is None or not reject(1 << i):
+            rays.append(tuple(1 if j == i else 0 for j in range(dim)))
+            masks.append(1 << i)
+    cuts = 0
+    for a in rows:
+        vals = [sum(c * x for c, x in zip(a, r)) for r in rays]
+        if not any(vals):
+            continue
+        zero = [(r, m) for r, m, v in zip(rays, masks, vals) if v == 0]
+        pos = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v > 0]
+        neg = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v < 0]
+        new = list(zero)
+        for rp, mp, vp in pos:
+            for rn, mn, vn in neg:
+                union = mp | mn
+                if union.bit_count() - 2 > cuts:
+                    continue
+                if reject is not None and reject(union):
+                    continue
+                if any(m != mp and m != mn and m & union == m
+                       for m in masks):
+                    continue
+                new.append((normalize_int_vector(
+                    [vp * b - vn * c for c, b in zip(rp, rn)]), union))
+        rays = [r for r, _ in new]
+        masks = [m for _, m in new]
+        cuts += 1
+    return sorted(Ray.from_vector(r) for r in rays)
+
+
+def _fixture_cone(name, oriented):
+    m = build_matching_system(load(name), oriented=oriented)
+    return ConeDescription(tuple(m.rows), m.num_cols)
+
+
+# Every fixture's unoriented cone and the oriented cones whose full double
+# description takes well under a second; three_tet's oriented cone (dim 42)
+# only filtered, since its full description takes about 40 s.
+FIXTURE_CONES = ([(name, False, full) for name in names()
+                  for full in (True, False)]
+                 + [(name, True, full)
+                    for name in ("d2", "two_tet_b1", "two_tet_efficient")
+                    for full in (True, False)]
+                 + [("three_tet", True, False)])
+
+
+@pytest.mark.parametrize("name,oriented,full", FIXTURE_CONES)
+def test_extreme_rays_match_mask_scan_on_fixtures(name, oriented, full):
+    """The packed adjacency test returns the same rays, in the same order,
+    as the scan of every mask, with and without the quad-conflict filter."""
+    cone = _fixture_cone(name, oriented)
+    reject = None if full else quad_conflict_test(
+        load(name).num_tets, oriented)
+    rays = enumerate_extreme_rays(cone, reject=reject)
+    assert rays
+    assert rays == _reference_rays(cone, reject)
+
+
+def _random_large_cone(rng):
+    """Dimension 20-45 and two to five sparse rows over -2..2: the cut
+    cones have dozens to about a thousand rays, which fill five to eleven
+    packed chunks."""
+    dim = rng.randint(20, 45)
+    rows = []
+    for _ in range(rng.randint(2, 5)):
+        row = [0] * dim
+        for j in rng.sample(range(dim), rng.randint(4, 12)):
+            row[j] = rng.choice((-2, -1, 1, 2))
+        rows.append(tuple(row))
+    return ConeDescription(tuple(rows), dim)
+
+
+def test_extreme_rays_match_mask_scan_on_large_random_cones():
+    """On cones far wider than the brute-force tests reach, the packed
+    adjacency test returns the same rays as the scan of every mask, with
+    and without a random monotone filter."""
+    rng = random.Random(53)
+    counts = []
+    for _ in range(24):
+        cone = _random_large_cone(rng)
+        for reject in (None, _random_forbidden_pairs(rng, cone.dim)):
+            rays = enumerate_extreme_rays(cone, reject=reject)
+            assert rays == _reference_rays(cone, reject), cone
+            counts.append(len(rays))
+    assert max(counts) > 100
+
+
 @pytest.mark.parametrize("name", ["d2", "two_tet_b1"])
 @pytest.mark.parametrize("oriented", [True, False])
 def test_fixture_rays_are_extreme_with_distinct_supports(name, oriented):
-    m = build_matching_system(load(name), oriented=oriented)
-    cone = ConeDescription(tuple(m.rows), m.num_cols)
+    cone = _fixture_cone(name, oriented)
     rays = enumerate_extreme_rays(cone)
     assert rays
     for r in rays:
@@ -465,8 +562,9 @@ def test_shape_checks_survive_optimize():
     the script prints the names of the checks that did not."""
     out = _run_optimized("""
         import sys
-        from thurston.linalg import (in_convex_hull,
-                                     remove_redundant_points, solve_lp)
+        from thurston.linalg import (ConeDescription, enumerate_extreme_rays,
+                                     in_convex_hull, remove_redundant_points,
+                                     solve_lp)
         checks = {
             "long_objective": lambda: solve_lp([1, 1, 1], ([[1, 1]], [1])),
             "extra_rhs": lambda: solve_lp([1, 1], ([[1, 1]], [1, 2])),
@@ -476,6 +574,10 @@ def test_shape_checks_survive_optimize():
             "in_convex_hull": lambda: in_convex_hull((0,), [(1, 5), (-1, 7)]),
             "remove_redundant_points": lambda: remove_redundant_points(
                 [(0, 0), (1,), (-1,)]),
+            "short_cone_row": lambda: enumerate_extreme_rays(
+                ConeDescription(((1, -1),), 3)),
+            "long_cone_row": lambda: enumerate_extreme_rays(
+                ConeDescription(((1, -1, 0, 0),), 3)),
         }
         missed = []
         for name, check in checks.items():

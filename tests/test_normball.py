@@ -17,8 +17,8 @@ from thurston.linalg import enumerate_extreme_rays, is_extreme_ray, solve_lp
 from thurston.normball import (DegenerateNormBall, NormBall, NormBallError,
                                Pipeline, evaluate_norm)
 
-# Every (fixture, theory) whose full double description finishes: the
-# oriented three_tet cone does not.
+# Every (fixture, theory) whose full double description finishes within a
+# second: the oriented three_tet cone takes about 40 s.
 FULL_CONES = [(name, oriented) for name in names()
               for oriented in (True, False)
               if (name, oriented) != ("three_tet", True)]
