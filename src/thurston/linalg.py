@@ -3,12 +3,16 @@
 Extreme-ray enumeration for cones {x >= 0 : Ax = 0} by the double
 description method, exact two-phase simplex with verified dual and
 Farkas certificates, and output-sensitive convex-hull redundancy removal
-by linear programming.  No floating point anywhere: matrices are
-integers or Fractions and every identity checked here is exact.
+by linear programming.  No floating point anywhere, and every identity
+checked here is exact.  Inputs are integers or Fractions; elimination is
+fraction-free: each row is scaled to integers, and rref and the simplex
+tableau hold integer rows over one shared positive denominator, divided
+exactly at each pivot (Bareiss), so only results are Fractions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .rat import normalize_int_vector
 
@@ -17,20 +21,56 @@ from .rat import normalize_int_vector
 # exact matrix utilities
 
 
-def _pivot(rows, r, col):
-    """One Gauss-Jordan step in place: scale row r so that its entry in
-    `col` is 1 and clear `col` from every other row."""
-    inv = 1 / rows[r][col]
-    pr = rows[r] = [inv * x for x in rows[r]]
+def _integer_row(values):
+    """(s, [s * x for x in values]) for the least positive integer s that
+    makes every entry an integer; entries are ints or rationals."""
+    q = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+         for x in values]
+    s = lcm(*(x.denominator for x in q))
+    return s, [x.numerator * (s // x.denominator) for x in q]
+
+
+def _pivot(rows, r, col, d):
+    """One fraction-free Gauss-Jordan step in place on integer rows that
+    stand for the matrix rows / d, with d > 0; returns the new
+    denominator.
+
+    With p the entry of row r in `col`, the step clears `col` from every
+    other row: a row with entry f there becomes (p*a - f*b) // d, for a
+    its entries and b those of row r, and row r is kept, all over the new
+    denominator p.  When p < 0 row r is negated first, which negates every
+    row, so the new denominator |p| stays positive.  The division is exact
+    (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22, 1968): when the rows start as
+    integers over d = 1, every entry is a minor of the starting matrix and
+    d the absolute value of the pivot minor.  A row with f = 0 is still
+    rescaled by p / d."""
+    pr = rows[r]
+    p = pr[col]
+    if p < 0:
+        p = -p
+        pr = rows[r] = [-x for x in pr]
     for i, row in enumerate(rows):
+        if i == r:
+            continue
         f = row[col]
-        if i != r and f != 0:
-            rows[i] = [a - f * b for a, b in zip(row, pr)]
+        if f:
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, pr)]
+        elif p != d:
+            rows[i] = [p * a // d for a in row]
+    return p
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form; returns (matrix, pivot column list).
+
+    Each row is first scaled to integers by the lcm of its denominators,
+    which leaves the (unique) reduced echelon form unchanged.  The
+    elimination then runs fraction-free with _pivot over one shared
+    denominator d, and the result is the final integer rows divided by d,
+    as Fractions."""
+    m = [_integer_row(row)[1] for row in rows]
+    d = 1
     pivots = []
     row = 0
     cols = len(m[0]) if m else 0
@@ -43,12 +83,12 @@ def rref(rows):
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        _pivot(m, row, col)
+        d = _pivot(m, row, col, d)
         pivots.append(col)
         row += 1
         if row == len(m):
             break
-    return m, pivots
+    return [[Fraction(x, d) for x in r] for r in m], pivots
 
 
 def rank_int(rows):
@@ -91,15 +131,20 @@ def solve_linear(rows, rhs):
 
 @dataclass(frozen=True, order=True)
 class Ray:
-    """An extreme ray with coprime nonnegative integer coordinates."""
+    """An extreme ray with coprime nonnegative integer coordinates.
+
+    Only the coordinates are stored; `support`, the set of indices of the
+    nonzero coordinates, is derived from them on each access."""
 
     coords: tuple
-    support: frozenset = field(compare=False)
+
+    @property
+    def support(self):
+        return frozenset(i for i, x in enumerate(self.coords) if x != 0)
 
     @classmethod
     def from_vector(cls, v):
-        ints = normalize_int_vector(v)
-        return cls(ints, frozenset(i for i, x in enumerate(ints) if x != 0))
+        return cls(normalize_int_vector(v))
 
 
 @dataclass(frozen=True)
@@ -263,14 +308,16 @@ def is_extreme_ray(cone, coords):
 @dataclass
 class LpResult:
     """Outcome of solve_lp.  status is "optimal", "infeasible" or
-    "unbounded".
+    "unbounded".  value, x and dual are exact Fractions.
 
     For optimal results x is a vertex witness, checked exactly against
     x >= 0, the caller's rows and its upper bounds, and dual is a dual
     certificate over the rows of the phase-1 tableau with the redundant
     rows dropped, that is over B1^-1 A for the final phase-1 basis B1, not
-    over the caller's rows.  With c the maximized objective (its negation
-    when minimizing), y.(B1^-1 A) >= c and y.(B1^-1 b) = c.x are verified
+    over the caller's rows.  B1^-1 A does not change when a row of A is
+    scaled, so it is the same system for the integer-scaled rows that the
+    solver pivots on.  With c the maximized objective (its negation when
+    minimizing), y.(B1^-1 A) >= c and y.(B1^-1 b) = c.x are verified
     exactly inside the solver, but a caller cannot check y against its own
     system.  For infeasible results dual is a Farkas
     certificate y, indexed over the equality rows and then the bound rows
@@ -289,90 +336,127 @@ class LpResult:
 
 
 class _Tableau:
-    """Simplex tableau over Fractions for max c.x, Ax = b, x >= 0.
+    """Fraction-free simplex tableau for max c.x, Ax = b, x >= 0, with
+    integer A, b and c.
 
-    `rows` holds B^-1 [A | b] for the basis listed in `basis`, and `z` is
-    the reduced-cost row [c | 0] - c_B B^-1 [A | b], which `pivot`
-    eliminates along with the other rows: z is 0 on basic columns and
-    z[-1] is minus the objective value of the basic solution."""
+    `rows` holds d B^-1 [A | b] as integer rows for the basis listed in
+    `basis`, and `z` holds d times the reduced-cost row [c | 0] - c_B B^-1
+    [A | b], as integers too; d > 0 is the shared denominator that _pivot
+    keeps, and `pivot` eliminates z along with the other rows.  So z is 0
+    on basic columns, its entries have the signs of the reduced costs, and
+    z[-1] / d is minus the objective value of the basic solution.  A
+    tableau starts from integer rows over a given d: 1 for a starting
+    identity basis, or the d of the tableau they were read from."""
 
-    def __init__(self, rows, basis, c):
+    def __init__(self, rows, basis, c, d=1):
         self.rows = rows
         self.basis = basis
         self.c = c
-        self.z = c + [Fraction(0)]
+        self.d = d
+        self.z = [d * cj for cj in c] + [0]
         for row, bj in zip(rows, basis):
             if c[bj] != 0:
                 self.z = [zj - c[bj] * x for zj, x in zip(self.z, row)]
 
     def pivot(self, r, col):
         self.rows.append(self.z)
-        _pivot(self.rows, r, col)
+        self.d = _pivot(self.rows, r, col, self.d)
         self.z = self.rows.pop()
         self.basis[r] = col
 
     def solve(self):
         """Bland's rule primal simplex from the current basis; the basis
-        must already be feasible.  Returns "optimal" or "unbounded"."""
+        must already be feasible.  The ratio test compares row[-1] / row[j]
+        by cross-multiplication.  Returns "optimal" or "unbounded"."""
         while True:
             enter = next((j for j, zj in enumerate(self.z[:-1]) if zj > 0),
                          None)
             if enter is None:
                 return "optimal"
             leave = None
-            best = None
             for i, row in enumerate(self.rows):
                 aij = row[enter]
                 if aij > 0:
-                    ratio = row[-1] / aij
-                    if best is None or ratio < best or \
-                            (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
+                    if leave is None:
+                        leave, num, den = i, row[-1], aij
+                        continue
+                    lhs, rhs = row[-1] * den, num * aij
+                    if lhs < rhs or (lhs == rhs
+                                     and self.basis[i] < self.basis[leave]):
+                        leave, num, den = i, row[-1], aij
             if leave is None:
                 return "unbounded"
             self.pivot(leave, enter)
 
     def dual(self, cols):
-        """y = c_B B^-1 read from columns that started as the identity:
-        there z[j] = c[j] - y.e_k."""
-        return [self.c[j] - self.z[j] for j in cols]
+        """The exact y = c_B B^-1, as Fractions, read from columns that
+        started as the identity: there z[j] / d = c[j] - y.e_k."""
+        d = self.d
+        return [Fraction(self.c[j] * d - self.z[j], d) for j in cols]
+
+
+def _common_numerators(y):
+    """(den, [den * yi for yi in y]) for den the lcm of the denominators
+    of the Fractions y."""
+    den = lcm(*(yi.denominator for yi in y))
+    return den, [yi.numerator * (den // yi.denominator) for yi in y]
 
 
 def _simplex_standard(a, b, c):
     """max c.x s.t. Ax = b, x >= 0 with verified certificates.
 
-    Returns (status, value, x, y).  Phase 1 maximizes minus the sum of one
-    artificial column per row, on the rows with negative right-hand side
-    negated.  When its optimum is below 0, the system is infeasible and its
-    dual y', read from the artificial columns, satisfies y'.A' >= 0 and
-    y'.b' < 0 for the negated system; negating those entries of y' gives a
-    Farkas certificate y for the rows of A as given.  Otherwise each
-    artificial still basic is pivoted out on a nonzero entry of its row in
-    A; a row with none is redundant and dropped.  Phase 2 runs on the
-    remaining phase-1 rows, B1^-1 A, in which the phase-1 basis columns
-    are unit vectors.  When it is optimal,
-    y is the dual read from those columns: it satisfies y.(B1^-1 A) >= c
-    and y.(B1^-1 b) == value, over the rows of that reduced system, not
-    over the rows of A.
+    Returns (status, value, x, y), all exact Fractions.  Row i of [A | b]
+    is scaled to integers by the lcm s_i of its denominators, and c by the
+    lcm of its own; the tableaux pivot on integers only (_Tableau).
+
+    Phase 1 maximizes minus the sum of one artificial column per row, on
+    the rows with negative right-hand side negated.  Artificial i stands
+    for s_i times the unscaled row's artificial, so with L the lcm of the
+    s_i it gets the integer cost -L/s_i: the phase-1 problem is then the
+    unscaled one with its objective times L and artificial i rescaled by
+    s_i, which changes no sign of a reduced cost, no ratio comparison and
+    no index, so Bland's rule takes the unscaled path pivot for pivot.  A
+    uniform cost of -1 would be a different problem with its own path.
+    When the phase-1 optimum is below 0, the system is infeasible and the
+    dual y^, read from the artificial columns, satisfies y^.A' >= 0 and
+    y^.b' < 0 for the scaled, negated system; y_i = +-y^_i s_i / L,
+    negated on the negated rows, is then the Farkas certificate of the
+    unscaled phase 1, for the rows of A as given.  Otherwise each
+    artificial still basic is pivoted out on a nonzero entry of its row
+    in A; a row with none is redundant and dropped.  Phase 2 runs on the
+    remaining phase-1 rows, B1^-1 A (which no row scaling changes), in
+    which the phase-1 basis columns are unit vectors, starting from
+    phase 1's denominator.  When it is optimal, y is the dual read from
+    those columns divided by the objective's scale: it satisfies
+    y.(B1^-1 A) >= c and y.(B1^-1 b) == value, over the rows of that
+    reduced system, not over the rows of A.  All four certificate checks
+    run in integers on the scaled rows and raise ArithmeticError.
     """
     m = len(a)
     n = len(c)
-    flipped = [bi < 0 for bi in b]
-    rows = [[Fraction(-x if f else x) for x in row]
-            + [Fraction(int(k == i)) for k in range(m)]
-            + [Fraction(-bi if f else bi)]
-            for i, (row, bi, f) in enumerate(zip(a, b, flipped))]
+    scaled = [_integer_row(list(row) + [bi]) for row, bi in zip(a, b)]
+    scales = [s for s, _ in scaled]
+    ints = [r for _, r in scaled]
+    flipped = [r[-1] < 0 for r in ints]
+    rows = [[-x if f else x for x in r[:-1]]
+            + [int(k == i) for k in range(m)]
+            + [-r[-1] if f else r[-1]]
+            for i, (r, f) in enumerate(zip(ints, flipped))]
+    big = lcm(*scales)
     art = list(range(n, n + m))
-    t = _Tableau(rows, list(art), [Fraction(0)] * n + [Fraction(-1)] * m)
+    t = _Tableau(rows, list(art), [0] * n + [-(big // s) for s in scales])
     if t.solve() != "optimal":
         raise ArithmeticError("phase 1 objective unbounded")
     if t.z[-1] != 0:
-        y = [-yi if f else yi for yi, f in zip(t.dual(art), flipped)]
-        if any(sum(yi * row[j] for yi, row in zip(y, a)) < 0
+        y = [yi * (-s if f else s) / big
+             for yi, s, f in zip(t.dual(art), scales, flipped)]
+        # y.A = w.(the scaled rows) for w_i = y_i / s_i, checked over w's
+        # common denominator.
+        _, w = _common_numerators([yi / s for yi, s in zip(y, scales)])
+        if any(sum(wi * r[j] for wi, r in zip(w, ints)) < 0
                for j in range(n)):
             raise ArithmeticError("Farkas certificate violated")
-        if sum(yi * bi for yi, bi in zip(y, b)) >= 0:
+        if sum(wi * r[-1] for wi, r in zip(w, ints)) >= 0:
             raise ArithmeticError("Farkas certificate does not separate")
         return "infeasible", None, None, tuple(y)
     # Drive remaining artificials out of the basis; drop redundant rows.
@@ -384,21 +468,29 @@ def _simplex_standard(a, b, c):
                 continue          # redundant equation
             t.pivot(i, piv)
         keep.append(i)
+    # B1^-1 [A | b] is reduced / d1.
     reduced = [t.rows[i][:n] + t.rows[i][-1:] for i in keep]
     basis1 = [t.basis[i] for i in keep]
-    t2 = _Tableau(list(reduced), list(basis1), c)
+    d1 = t.d
+    sigma, cint = _integer_row(c)
+    t2 = _Tableau(list(reduced), list(basis1), cint, d1)
     if t2.solve() == "unbounded":
         return "unbounded", None, None, None
     x = [Fraction(0)] * n
     for row, bj in zip(t2.rows, t2.basis):
-        x[bj] = row[-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    # Dual feasibility and strong duality, checked on the reduced system.
-    y = t2.dual(basis1)
+        x[bj] = Fraction(row[-1], t2.d)
+    value = sum((c[bj] * x[bj] for bj in t2.basis), Fraction(0))
+    # Dual feasibility and strong duality, checked on the reduced system
+    # over y's common denominator: c_j - y.(B1^-1 A)_j > 0 times
+    # sigma * den * d1 > 0.
+    y = [yi / sigma for yi in t2.dual(basis1)]
+    den, yn = _common_numerators(y)
     for j in range(n):
-        if c[j] - sum(yi * row[j] for yi, row in zip(y, reduced)) > 0:
+        if cint[j] * den * d1 > sigma * sum(
+                yk * row[j] for yk, row in zip(yn, reduced)):
             raise ArithmeticError("dual certificate violated")
-    if sum(yi * row[-1] for yi, row in zip(y, reduced)) != value:
+    if Fraction(sum(yk * row[-1] for yk, row in zip(yn, reduced)),
+                den * d1) != value:
         raise ArithmeticError("dual objective mismatch")
     return "optimal", value, tuple(x), tuple(y)
 
@@ -407,9 +499,12 @@ def solve_lp(objective, equalities, upper=None, maximize=True):
     """Exact LP over x >= 0: optimize objective.x subject to A x = rhs
     and, when `upper` is given, x <= upper coordinatewise.
 
-    equalities is (matrix, rhs).  Each upper bound u_j becomes the row
-    x_j + s_j = u_j with its own slack column s_j, after the equality
-    rows and the variables; minimizing maximizes -objective.x.  Returns an
+    equalities is (matrix, rhs); entries are ints or Fractions.  Each
+    upper bound u_j becomes the row x_j + s_j = u_j with its own slack
+    column s_j, after the equality rows and the variables; minimizing
+    maximizes -objective.x.  The simplex pivots on integers only: each row
+    is scaled to integers, and the tableau is kept fraction-free over one
+    shared denominator (_simplex_standard).  Returns an
     LpResult whose value and witness are exact rationals; infeasible and
     unbounded are statuses, not exceptions.  An optimal result's witness
     is checked exactly against x >= 0, the equalities and `upper` before

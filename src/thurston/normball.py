@@ -63,6 +63,11 @@ class NormBall:
 _ZERO = Fraction(0)
 
 
+def _mask(support):
+    """The support as a bitmask, bit i for coordinate i."""
+    return sum(1 << i for i in support)
+
+
 class Pipeline:
     """Caches the derived systems of one triangulation across operations.
 
@@ -72,7 +77,8 @@ class Pipeline:
     extreme ray, admissible or not.  `enumerate_vertices` reports them,
     and `build_B` (hence `norm_ball`, `find_taut_representative` and the
     `ball`, `norm` and `representative` commands) filters the oriented one
-    by the admissible flag.  `admissible_unoriented_rays` is the
+    with `quad_conflict`, before it builds a vertex's rational
+    coordinates.  `admissible_unoriented_rays` is the
     unoriented cone enumerated with the quad-conflict filter, so its
     double description never builds an inadmissible ray; only
     `check_zero_efficiency` (the `efficiency` command and the warnings of
@@ -144,12 +150,12 @@ class Pipeline:
         total = sum(ray.coords)
         coords = tuple(Fraction(c, total) if c else _ZERO
                        for c in ray.coords)
+        support = ray.support
         nums, den = self._chi_integer[oriented]
-        chi = Fraction(sum(nums[i] * ray.coords[i] for i in ray.support),
+        chi = Fraction(sum(nums[i] * ray.coords[i] for i in support),
                        den * total)
-        mask = sum(1 << i for i in ray.support)
-        adm = not self.quad_conflict[oriented](mask)
-        return ProjectiveVertex(coords, ray.support, chi, adm)
+        adm = not self.quad_conflict[oriented](_mask(support))
+        return ProjectiveVertex(coords, support, chi, adm)
 
     def enumerate_vertices(self, oriented=True):
         """Sum-one normalizations of the extreme rays of the chosen cone,
@@ -163,9 +169,11 @@ class Pipeline:
             raise ValueError("unknown variant %r" % (variant,))
         bverts = []
         recession = []
-        for v in self.enumerate_vertices(True):
-            if not v.admissible:
+        conflict = self.quad_conflict[True]
+        for ray in self.oriented_rays:
+            if conflict(_mask(ray.support)):
                 continue
+            v = self._tag_vertex(ray)
             if v.chi < 0:
                 bverts.append(tuple(c / abs(v.chi) for c in v.coords))
             elif v.chi == 0 and variant == "le":

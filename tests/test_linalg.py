@@ -19,6 +19,7 @@ from thurston.linalg import (
     is_extreme_ray, nullspace, rank_int,
     remove_redundant_points, rref, solve_linear, solve_lp,
 )
+from thurston.normball import NormBall, evaluate_norm
 from thurston.rat import normalize_int_vector, primitive_integer_vector
 
 
@@ -365,6 +366,258 @@ def test_farkas_certificates_on_random_lps(monkeypatch):
     assert statuses == {"infeasible": 203, "optimal": 143, "unbounded": 54}
     assert digest.hexdigest() == (
         "228e97d7ed35dc17629a06926213057deb211da8f3fbbffb2222830d7e4d0a8d")
+
+
+def _reference_pivot(rows, r, col):
+    """One Gauss-Jordan step over Fractions in place: scale row r so that
+    its entry in `col` is 1 and clear `col` from every other row."""
+    inv = 1 / rows[r][col]
+    pr = rows[r] = [inv * x for x in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and f != 0:
+            rows[i] = [a - f * b for a, b in zip(row, pr)]
+
+
+def _reference_rref(rows):
+    """Reduced row echelon form over Fractions, one Fraction pivot step
+    per column."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    row = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        _reference_pivot(m, row, col)
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return m, pivots
+
+
+class _ReferenceTableau:
+    """The simplex tableau over Fractions: rows hold B^-1 [A | b] and z the
+    reduced-cost row, pivoted with the other rows; `pivots` counts the
+    steps."""
+
+    def __init__(self, rows, basis, c, pivots):
+        self.rows, self.basis, self.c, self.pivots = rows, basis, c, pivots
+        self.z = c + [Fraction(0)]
+        for row, bj in zip(rows, basis):
+            if c[bj] != 0:
+                self.z = [zj - c[bj] * x for zj, x in zip(self.z, row)]
+
+    def pivot(self, r, col):
+        self.pivots[0] += 1
+        self.rows.append(self.z)
+        _reference_pivot(self.rows, r, col)
+        self.z = self.rows.pop()
+        self.basis[r] = col
+
+    def solve(self):
+        while True:
+            enter = next((j for j, zj in enumerate(self.z[:-1]) if zj > 0),
+                         None)
+            if enter is None:
+                return "optimal"
+            leave = best = None
+            for i, row in enumerate(self.rows):
+                if row[enter] > 0:
+                    ratio = row[-1] / row[enter]
+                    if best is None or ratio < best or (
+                            ratio == best
+                            and self.basis[i] < self.basis[leave]):
+                        best, leave = ratio, i
+            if leave is None:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+    def dual(self, cols):
+        return [self.c[j] - self.z[j] for j in cols]
+
+
+def _reference_simplex(a, b, c, pivots):
+    """The two-phase simplex over Fractions with the same contract as
+    linalg._simplex_standard: phase 1 gives every artificial the cost -1
+    on the unscaled rows, and both certificates are read off the
+    tableaux.  Adds its pivot count to pivots[0]."""
+    m, n = len(a), len(c)
+    flipped = [bi < 0 for bi in b]
+    rows = [[Fraction(-x if f else x) for x in row]
+            + [Fraction(int(k == i)) for k in range(m)]
+            + [Fraction(-bi if f else bi)]
+            for i, (row, bi, f) in enumerate(zip(a, b, flipped))]
+    art = list(range(n, n + m))
+    t = _ReferenceTableau(rows, list(art),
+                          [Fraction(0)] * n + [Fraction(-1)] * m, pivots)
+    t.solve()
+    if t.z[-1] != 0:
+        y = [-yi if f else yi for yi, f in zip(t.dual(art), flipped)]
+        return "infeasible", None, None, tuple(y)
+    keep = []
+    for i in range(m):
+        if t.basis[i] >= n:
+            piv = next((j for j in range(n) if t.rows[i][j] != 0), None)
+            if piv is None:
+                continue
+            t.pivot(i, piv)
+        keep.append(i)
+    reduced = [t.rows[i][:n] + t.rows[i][-1:] for i in keep]
+    basis1 = [t.basis[i] for i in keep]
+    t2 = _ReferenceTableau(list(reduced), list(basis1), c, pivots)
+    if t2.solve() == "unbounded":
+        return "unbounded", None, None, None
+    x = [Fraction(0)] * n
+    for row, bj in zip(t2.rows, t2.basis):
+        x[bj] = row[-1]
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    return "optimal", value, tuple(x), tuple(t2.dual(basis1))
+
+
+@pytest.fixture
+def kernels_compared(monkeypatch):
+    """Every _simplex_standard call also runs _reference_simplex, and the
+    two must agree on status, value, witness, dual and pivot count, with
+    the same types (the pinned digest hashes reprs).  Yields the list of
+    compared (status, pivots) pairs."""
+    pivots = [0]
+    pivot = linalg._Tableau.pivot
+    simplex = linalg._simplex_standard
+    compared = []
+
+    def counting(self, r, col):
+        pivots[0] += 1
+        pivot(self, r, col)
+
+    def both(a, b, c):
+        pivots[0] = 0
+        got = simplex(a, b, c)
+        ref = [0]
+        want = _reference_simplex(a, b, c, ref)
+        assert repr(got) == repr(want), (a, b, c)
+        assert pivots[0] == ref[0], (a, b, c)
+        compared.append((got[0], ref[0]))
+        return got
+
+    monkeypatch.setattr(linalg._Tableau, "pivot", counting)
+    monkeypatch.setattr(linalg, "_simplex_standard", both)
+    yield compared
+
+
+def _random_rational(rng, lo, hi):
+    return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def _random_rational_lp(rng):
+    """Like _random_lp, but rows, right-hand sides, objectives and upper
+    bounds carry denominators up to 6, and rows run up to five."""
+    n = rng.randint(1, 6)
+    base = [[_random_rational(rng, -4, 4) for _ in range(n)]
+            for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.5:
+        x0 = [_random_rational(rng, 0, 3) for _ in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in base]
+    else:
+        rhs = [_random_rational(rng, -6, 6) for _ in base]
+    rows, b = list(base), list(rhs)
+    for _ in range(rng.randint(0, 2) if base else 0):
+        i, j = rng.randrange(len(base)), rng.randrange(len(base))
+        s, t = _random_rational(rng, -2, 2), _random_rational(rng, -2, 2)
+        rows.append([s * x + t * y for x, y in zip(base[i], base[j])])
+        b.append(s * rhs[i] + t * rhs[j] + rng.choice((0, 0, 1, -1)))
+    upper = ([_random_rational(rng, 0, 4) for _ in range(n)]
+             if rng.random() < 0.5 else None)
+    objective = [_random_rational(rng, -3, 3) for _ in range(n)]
+    return objective, rows, b, upper, rng.random() < 0.5
+
+
+def test_simplex_matches_fraction_reference_on_rational_lps(
+        kernels_compared):
+    """The integer tableau takes the Fraction tableau's path: the same
+    status, pivot count, value, witness and dual on LPs with fractional
+    rows, right-hand sides, objectives and bounds."""
+    rng = random.Random(61)
+    for _ in range(300):
+        objective, rows, rhs, upper, maximize = _random_rational_lp(rng)
+        res = solve_lp(objective, (rows, rhs), upper, maximize)
+        if res.status == "infeasible":
+            _assert_farkas(res.dual, len(objective), rows, rhs, upper)
+    statuses = Counter(status for status, _ in kernels_compared)
+    assert min(statuses[s] for s in ("infeasible", "optimal", "unbounded")) \
+        > 20
+    assert max(p for _, p in kernels_compared) >= 6
+
+
+def _symmetric_plane_points(rng):
+    """10-20 rational points in the plane with denominators up to 4, and
+    their negatives, shuffled: the shape of a norm ball's vertex list."""
+    half = [(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+             Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            for _ in range(rng.randint(10, 20))]
+    pts = half + [(-x, -y) for x, y in half]
+    rng.shuffle(pts)
+    return pts
+
+
+def test_hull_and_gauge_lps_match_fraction_reference(kernels_compared):
+    """Every LP of the hull scan and of the gauge on centrally symmetric
+    plane point sets takes the same path and returns the same result in
+    both kernels."""
+    rng = random.Random(67)
+    for _ in range(8):
+        pts = _symmetric_plane_points(rng)
+        hull = remove_redundant_points(pts)
+        ball = NormBall("strict", 2, [[1, 0], [0, 1]], [], hull, [], [], None)
+        for _ in range(4):
+            evaluate_norm(ball, (rng.randint(-6, 6), rng.randint(-6, 6)))
+    statuses = Counter(status for status, _ in kernels_compared)
+    assert statuses["infeasible"] > 20 and statuses["optimal"] > 100
+
+
+def test_tableau_stays_integral_on_rational_lps(monkeypatch):
+    """Every tableau of a solve on fractional data holds ints only: its
+    rows, reduced costs, costs and denominator d > 0."""
+    tableaux = []
+    solve = linalg._Tableau.solve
+
+    def recording(self):
+        tableaux.append(self)
+        return solve(self)
+
+    monkeypatch.setattr(linalg._Tableau, "solve", recording)
+    rng = random.Random(71)
+    for _ in range(100):
+        objective, rows, rhs, upper, maximize = _random_rational_lp(rng)
+        solve_lp(objective, (rows, rhs), upper, maximize)
+    assert len(tableaux) > 100
+    for t in tableaux:
+        assert type(t.d) is int and t.d > 0
+        entries = [x for row in t.rows for x in row] + t.z + t.c
+        assert all(type(x) is int for x in entries)
+
+
+def test_rref_matches_fraction_reference():
+    """The fraction-free rref returns the same Fraction matrix and pivot
+    columns as elimination over Fractions, on random rational matrices
+    with dependent rows and zero columns."""
+    rng = random.Random(73)
+    ranks = Counter()
+    for _ in range(300):
+        ncols = rng.randint(0, 7)
+        rows = [[_random_rational(rng, -5, 5) if rng.random() < 0.7 else 0
+                 for _ in range(ncols)] for _ in range(rng.randint(0, 6))]
+        if rows and rng.random() < 0.5:
+            s = _random_rational(rng, -3, 3)
+            rows.append([s * x + y for x, y in zip(rng.choice(rows),
+                                                   rng.choice(rows))])
+        rng.shuffle(rows)
+        got = rref(rows)
+        assert repr(got) == repr(_reference_rref(rows)), rows
+        ranks[len(got[1])] += 1
+    assert len(ranks) >= 6
 
 
 def test_lp_unbounded():

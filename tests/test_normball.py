@@ -16,6 +16,7 @@ from thurston.fixtures import load, names
 from thurston.linalg import enumerate_extreme_rays, is_extreme_ray, solve_lp
 from thurston.normball import (DegenerateNormBall, NormBall, NormBallError,
                                Pipeline, evaluate_norm)
+from thurston.triangulation import triangulation_from_json
 
 # Every (fixture, theory) whose full double description finishes within a
 # second: the oriented three_tet cone takes about 40 s.
@@ -262,6 +263,44 @@ def test_hypothesis_warning_flags_nonaspherical_vertex(d2_pipe):
     fake.B_vertices = [link.coords]
     warnings = d2_pipe.hypothesis_warnings(fake)
     assert any("not algebraically aspherical" in w for w in warnings)
+
+
+# two_tet_b1 after one seeded 2-3 move (perfbench/moves.py, `grow` with
+# seed "1/two_tet_b1"): three tetrahedra, and the first input here whose
+# B is nonempty.
+B1_GROWN = ('{"tets": [[[1, "0231"], [1, "2130"], [1, "0123"], [2, "0132"]], '
+            '[[0, "0312"], [0, "3102"], [0, "0123"], [2, "0123"]], '
+            '[[2, "1023"], [2, "1023"], [0, "0132"], [1, "0123"]]]}')
+
+
+@pytest.fixture(scope="module")
+def grown_pipe():
+    return Pipeline(triangulation_from_json(B1_GROWN))
+
+
+def test_first_nonempty_B(grown_pipe):
+    """The grown two_tet_b1 has four B vertices, the ball {-1/2, 1/2} and
+    only the warning that the triangulation is not simplicial."""
+    ball = grown_pipe.norm_ball("strict")
+    assert ball.b == 1
+    assert ball.ball_vertices == [(Fraction(-1, 2),), (Fraction(1, 2),)]
+    assert len(ball.B_vertices) == 4
+    warnings = grown_pipe.hypothesis_warnings(ball)
+    assert len(warnings) == 1 and "not simplicial" in warnings[0]
+
+
+def test_asphericity_lp_is_zero_on_B_vertices(grown_pipe):
+    """Each B vertex x is a scaled extreme ray of the oriented cone, so a
+    cone point y with 0 <= y <= x has support inside supp(x) and is a
+    multiple of x.  Maximizing the Euler functional over those y on the
+    oriented matching rows therefore gives exactly 0, at y = 0."""
+    rows = [list(r) for r in grown_pipe.matching_oriented.rows]
+    bverts = grown_pipe.norm_ball("strict").B_vertices
+    assert bverts
+    for x in bverts:
+        res = solve_lp(list(grown_pipe.chi_coeffs), (rows, [0] * len(rows)),
+                       x)
+        assert res.optimal and res.value == 0
 
 
 @pytest.mark.parametrize("name,oriented", FULL_CONES)
