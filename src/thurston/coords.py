@@ -125,6 +125,8 @@ class NormalVector:
     def from_json_obj(cls, obj):
         if not isinstance(obj["oriented"], bool):
             raise TypeError('"oriented" must be true or false')
+        if not isinstance(obj["coords"], list):
+            raise TypeError('"coords" must be an array')
         return cls(parse_vector(obj["coords"]), obj["oriented"])
 
 

@@ -4,30 +4,52 @@ Extreme-ray enumeration for cones {x >= 0 : Ax = 0} by the double
 description method, exact two-phase simplex with verified dual and
 Farkas certificates, and output-sensitive convex-hull redundancy removal
 by linear programming.  No floating point anywhere, and every identity
-checked here is exact.  Inputs are integers or Fractions; elimination is
+checked here is exact.  Inputs are integers or Fractions, and rref, the
+LP and the hull raise TypeError on anything else; elimination is
 fraction-free: each row is scaled to integers, and rref and the simplex
 tableau hold integer rows over one shared positive denominator, divided
-exactly at each pivot (Bareiss), so only results are Fractions.
+exactly at each pivot (Bareiss), so only results are Fractions.  A caller
+that scales its rows to integers once saves the solver that work on
+every call.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .rat import normalize_int_vector
+from .rat import integer_numerators, normalize_int_vector
 
 
 # ---------------------------------------------------------------------------
 # exact matrix utilities
 
 
+_RATIONAL = frozenset((int, Fraction))
+
+
+def _check_rational(*vectors):
+    """Raise TypeError unless every entry of the vectors is an int or a
+    Fraction: a float or a string would enter the exact arithmetic as a
+    number its caller did not write.  Returns the set of the entries'
+    types."""
+    types = set()
+    for v in vectors:
+        types.update(map(type, v))
+    if not types <= _RATIONAL:
+        bad = next(x for v in vectors for x in v if type(x) not in _RATIONAL)
+        raise TypeError("expected an int or a Fraction, got %r" % (bad,))
+    return types
+
+
 def _integer_row(values):
-    """(s, [s * x for x in values]) for the least positive integer s that
-    makes every entry an integer; entries are ints or rationals."""
-    q = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-         for x in values]
-    s = lcm(*(x.denominator for x in q))
-    return s, [x.numerator * (s // x.denominator) for x in q]
+    """(s, s * values, as a list) for the least positive integer s that
+    makes every entry an integer.  A row of ints is returned as is, with
+    s = 1, and an entry that is neither an int nor a Fraction raises
+    TypeError."""
+    if _check_rational(values) <= {int}:
+        return 1, values
+    s, (row,) = integer_numerators([values])
+    return s, list(row)
 
 
 def _pivot(rows, r, col, d):
@@ -64,8 +86,9 @@ def _pivot(rows, r, col, d):
 def rref(rows):
     """Reduced row echelon form; returns (matrix, pivot column list).
 
-    Each row is first scaled to integers by the lcm of its denominators,
-    which leaves the (unique) reduced echelon form unchanged.  The
+    Entries are ints or Fractions (anything else raises TypeError).  Each
+    row is first scaled to integers by the lcm of its denominators, which
+    leaves the (unique) reduced echelon form unchanged.  The
     elimination then runs fraction-free with _pivot over one shared
     denominator d, and the result is the final integer rows divided by d,
     as Fractions."""
@@ -114,8 +137,7 @@ def nullspace(rows, ncols):
 def solve_linear(rows, rhs):
     """One exact solution of (rows) x = rhs, or None if inconsistent."""
     n = len(rows[0]) if rows else 0
-    aug = [list(map(Fraction, row)) + [Fraction(b)]
-           for row, b in zip(rows, rhs)]
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     m, pivots = rref(aug)
     x = [Fraction(0)] * n
     for r, pc in enumerate(pivots):
@@ -389,17 +411,10 @@ class _Tableau:
             self.pivot(leave, enter)
 
     def dual(self, cols):
-        """The exact y = c_B B^-1, as Fractions, read from columns that
-        started as the identity: there z[j] / d = c[j] - y.e_k."""
+        """d times the exact y = c_B B^-1, as integers, read from columns
+        that started as the identity: there z[j] / d = c[j] - y.e_k."""
         d = self.d
-        return [Fraction(self.c[j] * d - self.z[j], d) for j in cols]
-
-
-def _common_numerators(y):
-    """(den, [den * yi for yi in y]) for den the lcm of the denominators
-    of the Fractions y."""
-    den = lcm(*(yi.denominator for yi in y))
-    return den, [yi.numerator * (den // yi.denominator) for yi in y]
+        return [self.c[j] * d - self.z[j] for j in cols]
 
 
 def _simplex_standard(a, b, c):
@@ -407,7 +422,10 @@ def _simplex_standard(a, b, c):
 
     Returns (status, value, x, y), all exact Fractions.  Row i of [A | b]
     is scaled to integers by the lcm s_i of its denominators, and c by the
-    lcm of its own; the tableaux pivot on integers only (_Tableau).
+    lcm of its own; a row of ints is taken as is, with s_i = 1.  The
+    tableaux pivot on integers only (_Tableau), and every certificate
+    check runs on integer numerators over the tableau's d; each returned
+    entry is one Fraction built from its numerator and denominator.
 
     Phase 1 maximizes minus the sum of one artificial column per row, on
     the rows with negative right-hand side negated.  Artificial i stands
@@ -418,19 +436,24 @@ def _simplex_standard(a, b, c):
     no index, so Bland's rule takes the unscaled path pivot for pivot.  A
     uniform cost of -1 would be a different problem with its own path.
     When the phase-1 optimum is below 0, the system is infeasible and the
-    dual y^, read from the artificial columns, satisfies y^.A' >= 0 and
-    y^.b' < 0 for the scaled, negated system; y_i = +-y^_i s_i / L,
-    negated on the negated rows, is then the Farkas certificate of the
-    unscaled phase 1, for the rows of A as given.  Otherwise each
+    dual y^ = u / d, read from the artificial columns as integers u,
+    satisfies y^.A' >= 0 and y^.b' < 0 for the scaled, negated system;
+    y_i = +-u_i s_i / (L d), negated on the negated rows, is then the
+    Farkas certificate of the unscaled phase 1, for the rows of A as
+    given.  Its checks run on the scaled rows with the multipliers
+    y_i / s_i, whose numerators over L d are +-u_i.  Otherwise each
     artificial still basic is pivoted out on a nonzero entry of its row
     in A; a row with none is redundant and dropped.  Phase 2 runs on the
     remaining phase-1 rows, B1^-1 A (which no row scaling changes), in
     which the phase-1 basis columns are unit vectors, starting from
-    phase 1's denominator.  When it is optimal, y is the dual read from
-    those columns divided by the objective's scale: it satisfies
+    phase 1's denominator d1.  When it is optimal with denominator d2, x
+    and the value are numerators over d2 (the value's over sigma d2, for
+    sigma the objective's scale), and y is the dual read from the phase-1
+    basis columns as integers u, over sigma d2: it satisfies
     y.(B1^-1 A) >= c and y.(B1^-1 b) == value, over the rows of that
-    reduced system, not over the rows of A.  All four certificate checks
-    run in integers on the scaled rows and raise ArithmeticError.
+    reduced system, not over the rows of A.  With B1^-1 [A | b] held as
+    integer rows over d1, both checks multiply through by sigma d1 d2 > 0.
+    All four certificate checks run in integers and raise ArithmeticError.
     """
     m = len(a)
     n = len(c)
@@ -448,17 +471,15 @@ def _simplex_standard(a, b, c):
     if t.solve() != "optimal":
         raise ArithmeticError("phase 1 objective unbounded")
     if t.z[-1] != 0:
-        y = [yi * (-s if f else s) / big
-             for yi, s, f in zip(t.dual(art), scales, flipped)]
-        # y.A = w.(the scaled rows) for w_i = y_i / s_i, checked over w's
-        # common denominator.
-        _, w = _common_numerators([yi / s for yi, s in zip(y, scales)])
-        if any(sum(wi * r[j] for wi, r in zip(w, ints)) < 0
+        u = [-ui if f else ui for ui, f in zip(t.dual(art), flipped)]
+        if any(sum(ui * r[j] for ui, r in zip(u, ints)) < 0
                for j in range(n)):
             raise ArithmeticError("Farkas certificate violated")
-        if sum(wi * r[-1] for wi, r in zip(w, ints)) >= 0:
+        if sum(ui * r[-1] for ui, r in zip(u, ints)) >= 0:
             raise ArithmeticError("Farkas certificate does not separate")
-        return "infeasible", None, None, tuple(y)
+        den = big * t.d
+        return "infeasible", None, None, tuple(
+            Fraction(ui * s, den) for ui, s in zip(u, scales))
     # Drive remaining artificials out of the basis; drop redundant rows.
     keep = []
     for i in range(m):
@@ -476,39 +497,44 @@ def _simplex_standard(a, b, c):
     t2 = _Tableau(list(reduced), list(basis1), cint, d1)
     if t2.solve() == "unbounded":
         return "unbounded", None, None, None
+    d2 = t2.d
     x = [Fraction(0)] * n
     for row, bj in zip(t2.rows, t2.basis):
-        x[bj] = Fraction(row[-1], t2.d)
-    value = sum((c[bj] * x[bj] for bj in t2.basis), Fraction(0))
-    # Dual feasibility and strong duality, checked on the reduced system
-    # over y's common denominator: c_j - y.(B1^-1 A)_j > 0 times
-    # sigma * den * d1 > 0.
-    y = [yi / sigma for yi in t2.dual(basis1)]
-    den, yn = _common_numerators(y)
+        x[bj] = Fraction(row[-1], d2)
+    num = sum(cint[bj] * row[-1] for row, bj in zip(t2.rows, t2.basis))
+    # Dual feasibility and strong duality on the reduced system, times
+    # sigma * d1 * d2: y = u / (sigma d2), B1^-1 [A | b] = reduced / d1,
+    # c = cint / sigma and value = num / (sigma d2).
+    u = t2.dual(basis1)
     for j in range(n):
-        if cint[j] * den * d1 > sigma * sum(
-                yk * row[j] for yk, row in zip(yn, reduced)):
+        if cint[j] * d1 * d2 > sum(uk * row[j] for uk, row in zip(u, reduced)):
             raise ArithmeticError("dual certificate violated")
-    if Fraction(sum(yk * row[-1] for yk, row in zip(yn, reduced)),
-                den * d1) != value:
+    if sum(uk * row[-1] for uk, row in zip(u, reduced)) != d1 * num:
         raise ArithmeticError("dual objective mismatch")
-    return "optimal", value, tuple(x), tuple(y)
+    den = sigma * d2
+    return "optimal", Fraction(num, den), tuple(x), tuple(
+        Fraction(uk, den) for uk in u)
 
 
 def solve_lp(objective, equalities, upper=None, maximize=True):
     """Exact LP over x >= 0: optimize objective.x subject to A x = rhs
     and, when `upper` is given, x <= upper coordinatewise.
 
-    equalities is (matrix, rhs); entries are ints or Fractions.  Each
+    equalities is (matrix, rhs); every entry of the objective, the matrix,
+    rhs and `upper` is an int or a Fraction, and anything else raises
+    TypeError before any work.  Each
     upper bound u_j becomes the row x_j + s_j = u_j with its own slack
     column s_j, after the equality rows and the variables; minimizing
     maximizes -objective.x.  The simplex pivots on integers only: each row
     is scaled to integers, and the tableau is kept fraction-free over one
-    shared denominator (_simplex_standard).  Returns an
+    shared denominator (_simplex_standard).  Rows of ints skip that
+    scaling, so a caller that solves many LPs on rational data scales it
+    to integers once.  Returns an
     LpResult whose value and witness are exact rationals; infeasible and
     unbounded are statuses, not exceptions.  An optimal result's witness
     is checked exactly against x >= 0, the equalities and `upper` before
-    it is returned.  An infeasible result's dual is
+    it is returned, on its integer numerators over one common
+    denominator.  An infeasible result's dual is
     a Farkas certificate over the equality rows, then the bound rows, in
     that order; an optimal result's dual is over the rows of the phase-1
     tableau with the redundant rows dropped, not over these rows (see
@@ -525,6 +551,7 @@ def solve_lp(objective, equalities, upper=None, maximize=True):
     if upper is not None and len(upper) != n:
         raise ValueError("%d upper bounds for %d variables"
                          % (len(upper), n))
+    _check_rational(objective, rhs, upper or (), *a)
     c = [Fraction(x) if maximize else -Fraction(x) for x in objective]
     b = list(rhs)
     if upper is not None:
@@ -539,10 +566,12 @@ def solve_lp(objective, equalities, upper=None, maximize=True):
         return LpResult(status)
     # The witness over the standard form: x >= 0 with every row met, the
     # bound rows x_j + s_j = u_j included, is x >= 0, A x = rhs and
-    # x <= upper for the caller's system.
-    support = [(j, xj) for j, xj in enumerate(x) if xj]
+    # x <= upper for the caller's system.  It is checked on x's numerators
+    # over their common denominator den: A (den x) = den b.
+    den, (xn,) = integer_numerators([x])
+    support = [(j, xj) for j, xj in enumerate(xn) if xj]
     if any(xj < 0 for _, xj in support) or any(
-            sum(row[j] * xj for j, xj in support) != bi
+            sum(row[j] * xj for j, xj in support) != bi * den
             for row, bi in zip(a, b)):
         raise ArithmeticError("primal witness violated")
     return LpResult("optimal", value if maximize else -value, x[:n], y)
@@ -559,12 +588,13 @@ def _check_lengths(points, d):
 
 def _hull_lp(point, points):
     """The LP for convex weights on `points` that reproduce `point`: one
-    row per coordinate, then the weights summing to 1; no objective."""
+    row per coordinate, then the weights summing to 1; no objective.  The
+    rows hold the coordinates as given, so integer points give integer
+    rows."""
     d = len(point)
-    a = [[Fraction(q[i]) for q in points] for i in range(d)]
-    a.append([Fraction(1)] * len(points))
-    rhs = [Fraction(x) for x in point] + [Fraction(1)]
-    return solve_lp([Fraction(0)] * len(points), (a, rhs))
+    a = [[q[i] for q in points] for i in range(d)]
+    a.append([1] * len(points))
+    return solve_lp([0] * len(points), (a, list(point) + [1]))
 
 
 def in_convex_hull(point, points):
@@ -588,19 +618,29 @@ def remove_redundant_points(points):
     hull vertex that is not in V yet; it joins V (with V empty, c = 0).
     The test repeats until p is in V or in conv(V).  The scan solves at
     most n + h LPs of at most h columns each, for n points and h vertices.
+
+    The scan runs on integers: the distinct points are scaled once by
+    their common denominator D > 0, c is scaled to integers by a positive
+    factor, and the new vertex is picked by an integer dot product with
+    ties broken on the integer points.  Positive scalings change neither
+    the hull nor the order of the key, and the hull's vertex set is
+    unique, so the output does not depend on which certificate each LP
+    returns.
     """
+    _check_rational(*points)
     pts = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
     d = len(pts[0]) if pts else 0
     _check_lengths(pts, d)
+    ints = integer_numerators(pts)[1]
     verts = []
-    for i, p in enumerate(pts):
+    for i, p in enumerate(ints):
         while i not in verts:
             c = [0] * d
             if verts:
-                res = _hull_lp(p, [pts[k] for k in verts])
+                res = _hull_lp(p, [ints[k] for k in verts])
                 if res.optimal:
                     break
-                c = [-y for y in res.dual[:d]]
-            verts.append(max(range(len(pts)), key=lambda k: (
-                sum(ci * x for ci, x in zip(c, pts[k])), pts[k])))
+                c = _integer_row([-y for y in res.dual[:d]])[1]
+            verts.append(max(range(len(ints)), key=lambda k: (
+                sum(ci * x for ci, x in zip(c, ints[k])), ints[k])))
     return [pts[k] for k in sorted(verts)]

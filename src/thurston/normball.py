@@ -13,7 +13,6 @@ hypothesis when nonzero.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .chi import chi_star_coefficients
 from .coords import (NormalVector, build_matching_system, forget_orientation,
@@ -21,7 +20,7 @@ from .coords import (NormalVector, build_matching_system, forget_orientation,
 from .homology import homology_map_matrix
 from .linalg import (ConeDescription, enumerate_extreme_rays,
                      remove_redundant_points, rref, solve_lp)
-from .rat import dot
+from .rat import dot, integer_numerators, primitive_integer_vector
 from .surfaces import (assign_transverse_orientation,
                        is_algebraically_aspherical, reconstruct_surface)
 from .triangulation import is_simplicial
@@ -140,9 +139,7 @@ class Pipeline:
         common denominator.  A disc's term does not depend on its
         transverse orientation, so oriented column 2i repeats unoriented
         column i twice."""
-        coeffs = self.chi_coeffs_unoriented
-        den = lcm(*(c.denominator for c in coeffs))
-        nums = tuple(int(c * den) for c in coeffs)
+        den, (nums,) = integer_numerators([self.chi_coeffs_unoriented])
         return {False: (nums, den),
                 True: (tuple(n for n in nums for _ in (1, -1)), den)}
 
@@ -221,8 +218,8 @@ class Pipeline:
 
         # Equality system over the oriented coordinates: matching rows,
         # homology rows = alpha, Euler row = -norm, weight row = w.
-        eq_rows = [list(map(Fraction, r)) for r in self.matching_oriented.rows]
-        eq_rhs = [Fraction(0)] * len(eq_rows)
+        eq_rows = [list(r) for r in self.matching_oriented.rows]
+        eq_rhs = [0] * len(eq_rows)
         for hrow, aval in zip(self.hmap.rows, alpha):
             eq_rows.append(list(hrow))
             eq_rhs.append(aval)
@@ -230,8 +227,8 @@ class Pipeline:
         eq_rhs.append(target_chi)
 
         for w in range(1, w_max + 1):
-            rows = eq_rows + [[Fraction(1)] * n]
-            rhs = eq_rhs + [Fraction(w)]
+            rows = eq_rows + [[1] * n]
+            rhs = eq_rhs + [w]
             for x in self._integral_points(rows, rhs, w):
                 found = self._try_representative(x)
                 if found is not None:
@@ -243,6 +240,12 @@ class Pipeline:
         the equality system, with admissibility pruning on the prefix's
         support bitmask (`quad_conflict`), incremental per-row interval
         pruning, and an exact LP relaxation at surviving interior nodes.
+
+        Each row is first scaled together with its right-hand side to the
+        primitive integer row: a positive multiple, so the solution set is
+        the same, and one that does not depend on how the caller scaled
+        the row.  Residuals, interval bounds and the LPs' rows are then
+        all integers.
 
         The relaxation asks whether the remaining coordinates have a
         nonnegative rational completion.  It keeps only a subset of `rows`
@@ -266,6 +269,9 @@ class Pipeline:
         system, or no weight row) costs time but cannot add or drop a
         point."""
         n = self.matching_oriented.num_cols
+        scaled = [primitive_integer_vector(list(row) + [b])
+                  for row, b in zip(rows, rhs)]
+        rows = [r[:-1] for r in scaled]
         nrows = len(rows)
         # Achievable range of each row's tail given a shared weight budget:
         # tail_min/tail_max hold min and max coefficients over columns >= k.
@@ -277,7 +283,7 @@ class Pipeline:
                     if k < n - 1 else row[k]
                 tail_max[i][k] = max(row[k], tail_max[i][k + 1]) \
                     if k < n - 1 else row[k]
-        residual = [r for r in rhs]
+        residual = [r[-1] for r in scaled]
         prefix = []
         # The pivot columns of the transpose index rows spanning the row
         # space.
@@ -303,7 +309,7 @@ class Pipeline:
             LP's witness."""
             if parent is not None and parent[0] == prefix[-1]:
                 return parent[1:]
-            return solve_lp([Fraction(0)] * (n - k),
+            return solve_lp([0] * (n - k),
                             ([rows[i][k:] for i in spanning],
                              [residual[i] for i in spanning])).x
 
@@ -408,7 +414,10 @@ class TautRepresentative:
 def evaluate_norm(ball, c):
     """The norm of a class in basis coordinates, as the gauge of the
     computed unit ball: the least total mass of a nonnegative combination
-    of ball vertices representing c."""
+    of ball vertices representing c.
+
+    The vertices and the class are scaled to integers by one common
+    denominator; the combinations, and so the value, stay the same."""
     if ball.variant != "strict":
         raise NormBallError("norm evaluation requires the strict ball")
     c = tuple(Fraction(x) for x in c)
@@ -416,9 +425,9 @@ def evaluate_norm(ball, c):
         raise NormBallError("class dimension mismatch")
     if all(x == 0 for x in c):
         return Fraction(0)
-    verts = ball.ball_vertices
-    a = [[Fraction(w[i]) for w in verts] for i in range(ball.b)]
-    res = solve_lp([Fraction(1)] * len(verts), (a, list(c)), maximize=False)
+    _, (rhs, *verts) = integer_numerators([c] + list(ball.ball_vertices))
+    a = [[w[i] for w in verts] for i in range(ball.b)]
+    res = solve_lp([1] * len(verts), (a, list(rhs)), maximize=False)
     if not res.optimal:
         raise DegenerateNormBall("norm ball degenerate or hypotheses violated")
     return res.value

@@ -18,8 +18,8 @@ def parse_int(text):
 
 
 def parse_fraction(s):
-    """Parse "p/q", a plain integer string or an int into a Fraction;
-    a bool is not a number here."""
+    """Parse "p/q" with q > 0, a plain integer string or an int into a
+    Fraction; a bool is not a number here, and a signed q is rejected."""
     if isinstance(s, bool):
         raise TypeError("expected a number, got %r" % s)
     if isinstance(s, int):
@@ -27,6 +27,8 @@ def parse_fraction(s):
     text = s.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if den.startswith("-"):
+            raise ValueError("denominator must be positive: %r" % s)
         return Fraction(parse_int(num), parse_int(den))
     return Fraction(parse_int(text))
 
@@ -59,6 +61,15 @@ def normalize_int_vector(v):
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
+
+
+def integer_numerators(vectors):
+    """(den, numerators): den the least common denominator of every entry
+    of the rational vectors, and each vector times den as a tuple of
+    ints."""
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in v)
+                 for v in vectors]
 
 
 def primitive_integer_vector(v):

@@ -20,7 +20,7 @@ from .coords import (NormalVector, build_matching_system, conflicting_quads,
                      disc_edges, disc_index, forget_orientation, is_admissible,
                      is_compatible, quad_arc_sign_factor, quad_kind_for_arc,
                      QUAD_PAIR, TRI_KINDS)
-from .linalg import solve_lp
+from .linalg import ConeDescription, is_extreme_ray, solve_lp
 from .triangulation import EDGE_INDEX, FACE_CORNERS
 
 
@@ -302,8 +302,16 @@ def assign_transverse_orientation(tri, surface, target):
 
 
 def is_algebraically_aspherical(tri, x, matching=None):
-    """LP decision: no coordinatewise smaller nonnegative solution of the
-    oriented matching equations has positive Euler characteristic."""
+    """Decide that no coordinatewise smaller nonnegative solution of the
+    oriented matching equations has positive Euler characteristic, that
+    is, that max chi*(y) over the cone points 0 <= y <= x is at most 0.
+
+    When x spans an extreme ray of the cone (the matching rows restricted
+    to supp(x) have rank |supp(x)| - 1), every such y has support inside
+    supp(x), so it lies in the one-dimensional kernel of those restricted
+    rows: y = t x with 0 <= t <= 1.  The maximum is then max(0, chi*(x)),
+    and the answer is chi*(x) <= 0 with no LP.  Every other x gets the
+    LP."""
     if not x.oriented:
         raise ValueError("expected oriented coordinates")
     if not x.is_nonnegative():
@@ -313,6 +321,9 @@ def is_algebraically_aspherical(tri, x, matching=None):
     if not matching.is_in_kernel(x.coords):
         raise ValueError("matching equations violated")
     objective = chi_star_coefficients(tri, oriented=True)
+    if is_extreme_ray(ConeDescription(tuple(matching.rows), matching.num_cols),
+                      x.coords):
+        return sum(c * v for c, v in zip(objective, x.coords)) <= 0
     rhs = [0] * len(matching.rows)
     res = solve_lp(list(objective), (list(matching.rows), rhs), x.coords)
     if not res.optimal:

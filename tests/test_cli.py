@@ -259,6 +259,22 @@ def test_surface_malformed_coords(paths, capsys, payload):
     assert json.loads(out)["error"]["code"] == "bad-coords"
 
 
+@pytest.mark.parametrize("coords", [
+    pytest.param("00000000000000", id="digit-string"),
+    pytest.param({"0": 0}, id="object"),
+    pytest.param(["1/-2"] * 14, id="signed-denominator"),
+])
+def test_surface_coords_must_be_an_array_of_fractions(paths, capsys, coords):
+    """"coords" that is not a JSON array of "p/q" strings with q > 0 is
+    bad-coords with exit code 1.  A string used to be read digit by digit,
+    and on d2 the 14 digits above printed an empty surface with exit code
+    0."""
+    payload = json.dumps({"coords": coords, "oriented": False})
+    code, out = _run(capsys, ["surface", paths["d2"], "--coords", payload])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "bad-coords"
+
+
 def test_representative_zero_class(paths, capsys):
     code, out = _run(capsys, ["representative", paths["d2"],
                               "--class", "", "--max-weight", "2"])

@@ -620,6 +620,50 @@ def test_rref_matches_fraction_reference():
     assert len(ranks) >= 6
 
 
+@pytest.mark.parametrize("objective,rows,rhs,upper", [
+    pytest.param([1], [[0.1]], [0.3], None, id="float-row-and-rhs"),
+    pytest.param([1], [[1]], [0.5], None, id="float-rhs"),
+    pytest.param([0.5], [[1]], [1], None, id="float-objective"),
+    pytest.param([1], [[1]], ["1"], None, id="string-rhs"),
+    pytest.param([1, 1], [[1, "1/2"]], [1], None, id="string-entry"),
+    pytest.param([1], [[1]], [1], [1.0], id="float-upper"),
+    pytest.param(["1"], [[1]], [1], None, id="string-objective"),
+])
+def test_lp_rejects_non_rational_input(monkeypatch, objective, rows, rhs,
+                                       upper):
+    """An entry that is neither an int nor a Fraction raises TypeError at
+    entry, before the simplex runs: a float would otherwise be read by its
+    binary expansion (0.1 as 3602879701896397/36028797018963968)."""
+    def unreachable(*args):
+        raise AssertionError("the simplex ran on non-rational input")
+
+    monkeypatch.setattr(linalg, "_simplex_standard", unreachable)
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        solve_lp(objective, (rows, rhs), upper)
+
+
+def test_rref_rejects_non_rational_input():
+    """rref and what is built on it take ints and Fractions only."""
+    for rows in ([[1, 0.5]], [[1, 2], ["3", 4]]):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            rref(rows)
+    with pytest.raises(TypeError):
+        rank_int([[0.25]])
+    with pytest.raises(TypeError):
+        solve_linear([[1, 1]], [0.5])
+    assert rref([[Fraction(1, 2), 1]]) == ([[1, 2]], [0])
+
+
+def test_hull_rejects_non_rational_points():
+    """The hull scan reads its points exactly, so a float point raises
+    TypeError instead of entering as its binary expansion."""
+    for points in ([(0.1,), (0.3,)], [(0, 0), (1, "1/2")]):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            remove_redundant_points(points)
+    with pytest.raises(TypeError):
+        in_convex_hull((0.5,), [(0,), (1,)])
+
+
 def test_lp_unbounded():
     res = solve_lp([1], ([], []))
     assert res.status == "unbounded"

@@ -1,21 +1,28 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import pytest
 
 import thurston
+import thurston.linalg as linalg
 import thurston.normball as normball
+import thurston.surfaces as surfaces
 from thurston.chi import chi_star
 from thurston.coords import NormalVector, forget_orientation, \
     is_admissible, quad_conflict_test, vertex_linking_vector
 from thurston.fixtures import load, names
-from thurston.linalg import enumerate_extreme_rays, is_extreme_ray, solve_lp
+from thurston.linalg import (ConeDescription, enumerate_extreme_rays,
+                             is_extreme_ray, remove_redundant_points, solve_lp)
 from thurston.normball import (DegenerateNormBall, NormBall, NormBallError,
                                Pipeline, evaluate_norm)
+from thurston.surfaces import is_algebraically_aspherical
 from thurston.triangulation import triangulation_from_json
 
 # Every (fixture, theory) whose full double description finishes within a
@@ -220,6 +227,85 @@ def test_integral_point_search_lp_count(monkeypatch, name, w, calls,
         assert len(counted) <= calls
 
 
+def _counting_solve_lp(monkeypatch, module):
+    """Patch `module.solve_lp` to append to the returned list on each
+    call."""
+    counted = []
+
+    def counting(*args, **kwargs):
+        counted.append(None)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(module, "solve_lp", counting)
+    return counted
+
+
+ROW_SCALES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), 3, 1)
+
+
+def _scaled_system(rows, rhs):
+    """Row i and its right-hand side times ROW_SCALES[i % 5]."""
+    scales = [ROW_SCALES[i % len(ROW_SCALES)] for i in range(len(rows))]
+    return ([[s * a for a in row] for row, s in zip(rows, scales)],
+            [s * b for b, s in zip(rhs, scales)])
+
+
+@pytest.mark.parametrize("name,w", [("one_tet", 1), ("one_tet", 2),
+                                    ("one_tet", 3), ("two_tet_b1", 1),
+                                    ("d2", 1), ("d2", 2)])
+def test_integral_points_invariant_under_row_scaling(monkeypatch, name, w):
+    """Multiplying rows together with their right-hand sides by 1/2, 1/3,
+    2/5 and 3 (every fifth row left as is) changes neither the points, nor
+    their order, nor the number of LPs: each row is scaled to the same
+    primitive integer row before the search.  Scaling by the lcm of the
+    denominators alone would give 2/5 and 3 times a row different integer
+    rows, and d2's weight-1 search then solves 14 LPs instead of 13."""
+    counted = _counting_solve_lp(monkeypatch, normball)
+    pipe = _pipe(name)
+    rows, rhs = _search_system(pipe, w)
+    expected = [x.coords for x in pipe._integral_points(rows, rhs, w)]
+    calls = len(counted)
+    scaled_rows, scaled_rhs = _scaled_system(rows, rhs)
+    assert scaled_rows != rows
+    del counted[:]
+    found = [x.coords
+             for x in pipe._integral_points(scaled_rows, scaled_rhs, w)]
+    assert found == expected
+    assert len(counted) == calls
+
+
+def test_hull_search_and_gauge_hand_solve_lp_integer_rows(monkeypatch):
+    """The hull scan, the representative DFS and the gauge scale their
+    rational data to integers once: every one of their LPs reaches
+    _simplex_standard with int rows and right-hand sides."""
+    calls = Counter()
+    stage = [None]
+    simplex = linalg._simplex_standard
+
+    def spy(a, b, c):
+        assert all(type(x) is int for row in a for x in row), a
+        assert all(type(x) is int for x in b), b
+        calls[stage[0]] += 1
+        return simplex(a, b, c)
+
+    monkeypatch.setattr(linalg, "_simplex_standard", spy)
+    rng = random.Random(83)
+    half = [(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+             Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            for _ in range(12)]
+    stage[0] = "hull"
+    hull = remove_redundant_points(half + [(-x, -y) for x, y in half])
+    stage[0] = "gauge"
+    ball = NormBall("strict", 2, [[1, 0], [0, 1]], [], hull, [], [], None)
+    for cls in ((1, 0), (0, 1), (3, -2)):
+        evaluate_norm(ball, cls)
+    stage[0] = "search"
+    pipe = _pipe("d2")
+    system = _scaled_system(*_search_system(pipe, 2))
+    assert len(list(pipe._integral_points(*system, 2))) == 14
+    assert calls["hull"] > 10 and calls["gauge"] == 3 and calls["search"] > 0
+
+
 @pytest.mark.parametrize("name,w", [("one_tet", 2), ("d2", 1)])
 def test_integral_points_of_inconsistent_system(name, w):
     """A dependent row with the wrong right-hand side leaves no point.
@@ -301,6 +387,52 @@ def test_asphericity_lp_is_zero_on_B_vertices(grown_pipe):
         res = solve_lp(list(grown_pipe.chi_coeffs), (rows, [0] * len(rows)),
                        x)
         assert res.optimal and res.value == 0
+
+
+def test_asphericity_shortcut_agrees_with_lp(monkeypatch, d2_pipe,
+                                            grown_pipe):
+    """On an extreme ray, is_algebraically_aspherical answers
+    chi*(x) <= 0 with no LP; on any other x it solves the LP.  Both paths
+    agree with the LP solved directly, and each gives both answers.  The
+    extreme cases: the grown two_tet_b1's B vertices (chi* = -1), a
+    chi* = 0 ray of two_tet_b1, and d2's rays (chi* > 0).  The others:
+    sums of two of those rays, and a B vertex plus a vertex-linking
+    sphere scaled to chi* = 1/2, whose chi* is negative but which holds
+    the sphere."""
+    lps = _counting_solve_lp(monkeypatch, surfaces)
+    b1_pipe = _pipe("two_tet_b1")
+    flat = next(r.coords for r in b1_pipe.oriented_rays
+                if chi_star(b1_pipe.tri, NormalVector(r.coords, True)) == 0)
+    bverts = grown_pipe.norm_ball("strict").B_vertices[:2]
+    link = vertex_linking_vector(grown_pipe.tri, 0, 1, True)
+    t = Fraction(1, 2) / chi_star(grown_pipe.tri, link)
+    mixed = tuple(a + t * b for a, b in zip(bverts[0], link.coords))
+    d2_rays = [r.coords for r in d2_pipe.oriented_rays[:3]]
+
+    def sums(xs):
+        return [tuple(a + b for a, b in zip(x, y))
+                for x, y in combinations(xs, 2)]
+
+    cases = ([(grown_pipe, x, True) for x in bverts]
+             + [(b1_pipe, flat, True)]
+             + [(d2_pipe, x, True) for x in d2_rays]
+             + [(grown_pipe, x, False) for x in sums(bverts) + [mixed]]
+             + [(d2_pipe, x, False) for x in sums(d2_rays)])
+    seen = Counter()
+    for pipe, x, on_ray in cases:
+        matching = pipe.matching_oriented
+        cone = ConeDescription(tuple(matching.rows), matching.num_cols)
+        assert is_extreme_ray(cone, x) == on_ray
+        del lps[:]
+        got = is_algebraically_aspherical(
+            pipe.tri, NormalVector(x, True), matching)
+        assert len(lps) == (0 if on_ray else 1)
+        rows = [list(r) for r in matching.rows]
+        res = solve_lp(list(pipe.chi_coeffs), (rows, [0] * len(rows)), x)
+        assert got == (res.value <= 0)
+        seen[on_ray, got] += 1
+    assert seen == {(True, True): 3, (True, False): 3, (False, True): 1,
+                    (False, False): 4}
 
 
 @pytest.mark.parametrize("name,oriented", FULL_CONES)
