@@ -15,7 +15,8 @@ import sys
 from .coords import NormalVector, forget_orientation, num_coords
 from .normball import (DegenerateNormBall, NormBallError, Pipeline,
                        evaluate_norm)
-from .rat import format_fraction, format_vector, parse_int
+from .rat import (format_fraction, format_quotients, format_vector,
+                  parse_int)
 from .surfaces import reconstruct_surface
 from .triangulation import (InvalidTriangulation, TriangulationError,
                             parse_triangulation, validate_and_orient,
@@ -59,7 +60,9 @@ def _load_triangulation(path, validate_only=False):
 
 
 def _vertex_entry(v):
-    return {"coords": format_vector(v.coords),
+    """A projective vertex as printed: its sum-one coordinates are
+    formatted from the integer ray and its sum, with no Fraction."""
+    return {"coords": format_quotients(v.ray, v.total),
             "support": sorted(v.support),
             "chi_star": format_fraction(v.chi),
             "admissible": v.admissible}

@@ -17,11 +17,10 @@ inducing the arc agrees on the two sides of the face.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
-from .rat import format_vector, parse_vector
+from .rat import (check_rational, exact_entries, format_vector,
+                  integer_numerators, parse_vector)
 from .triangulation import FACE_CORNERS
 
 NUM_KINDS = 7          # per tetrahedron: 4 triangles then 3 quads
@@ -90,14 +89,20 @@ def disc_of_index(i, oriented=True):
 
 @dataclass(frozen=True)
 class NormalVector:
-    """A vector of exact rationals indexed by disc types."""
+    """A vector of exact rationals indexed by disc types.
+
+    Each entry is held as an int when it is integral and as a Fraction
+    otherwise (`rat.exact_entries`), so an integral vector, the normal
+    surfaces' case, is a tuple of ints.  An int compares and hashes equal
+    to the same value as a Fraction, so two vectors built from either
+    form are equal.  An entry that is neither an int nor a Fraction (a
+    float, a str, a bool) raises TypeError."""
 
     coords: tuple
     oriented: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "coords",
-                           tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", exact_entries(self.coords))
 
     def __add__(self, other):
         if self.oriented != other.oriented or \
@@ -108,11 +113,12 @@ class NormalVector:
                             self.oriented)
 
     def scale(self, c):
-        c = Fraction(c)
+        """c times the vector, for an int or a Fraction c."""
+        check_rational((c,))
         return NormalVector(tuple(c * a for a in self.coords), self.oriented)
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.coords)
+        return all(type(c) is int for c in self.coords)
 
     def is_nonnegative(self):
         return all(c >= 0 for c in self.coords)
@@ -168,10 +174,11 @@ class MatchingSystem:
 
     def is_in_kernel(self, coords):
         """Exact membership of a rational vector.  The kernel is a linear
-        subspace, so the vector is first scaled to integers."""
-        den = lcm(*(x.denominator for x in coords))
-        ints = [x.numerator * (den // x.denominator) for x in coords]
-        return all(sum(a * ints[j] for j, a in row) == 0
+        subspace, so a vector with a Fraction entry is first scaled to
+        integers."""
+        if not all(type(x) is int for x in coords):
+            coords = integer_numerators([coords])[1][0]
+        return all(sum(a * coords[j] for j, a in row) == 0
                    for row in self.sparse_rows)
 
 
@@ -316,7 +323,7 @@ def vertex_linking_vector(tri, vclass, sign=1, oriented=True):
     per corner, all transversely oriented toward the vertex when sign=+1
     (away when sign=-1) in the oriented theory."""
     n = num_coords(tri.num_tets, oriented)
-    coords = [Fraction(0)] * n
+    coords = [0] * n
     for tet, v in tri.vertex_classes[vclass]:
         if oriented:
             coords[disc_index(tet, v, sign, True)] += 1

@@ -5,40 +5,23 @@ description method, exact two-phase simplex with verified dual and
 Farkas certificates, and output-sensitive convex-hull redundancy removal
 by linear programming.  No floating point anywhere, and every identity
 checked here is exact.  Inputs are integers or Fractions, and rref, the
-LP and the hull raise TypeError on anything else; elimination is
-fraction-free: each row is scaled to integers, and rref and the simplex
-tableau hold integer rows over one shared positive denominator, divided
-exactly at each pivot (Bareiss), so only results are Fractions.  A caller
-that scales its rows to integers once saves the solver that work on
-every call.
+LP, the hull and the double description raise TypeError on anything
+else; elimination is fraction-free: each row is scaled to integers, and
+rref and the simplex tableau hold integer rows over one shared positive
+denominator, divided exactly at each pivot (Bareiss), so only results are
+Fractions.  A caller that scales its rows to integers once saves the
+solver that work on every call.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .rat import integer_numerators, normalize_int_vector
+from .rat import check_rational, integer_numerators, normalize_int_vector
 
 
 # ---------------------------------------------------------------------------
 # exact matrix utilities
-
-
-_RATIONAL = frozenset((int, Fraction))
-
-
-def _check_rational(*vectors):
-    """Raise TypeError unless every entry of the vectors is an int or a
-    Fraction: a float or a string would enter the exact arithmetic as a
-    number its caller did not write.  Returns the set of the entries'
-    types."""
-    types = set()
-    for v in vectors:
-        types.update(map(type, v))
-    if not types <= _RATIONAL:
-        bad = next(x for v in vectors for x in v if type(x) not in _RATIONAL)
-        raise TypeError("expected an int or a Fraction, got %r" % (bad,))
-    return types
 
 
 def _integer_row(values):
@@ -46,7 +29,7 @@ def _integer_row(values):
     makes every entry an integer.  A row of ints is returned as is, with
     s = 1, and an entry that is neither an int nor a Fraction raises
     TypeError."""
-    if _check_rational(values) <= {int}:
+    if check_rational(values) <= {int}:
         return 1, values
     s, (row,) = integer_numerators([values])
     return s, list(row)
@@ -205,12 +188,14 @@ def enumerate_extreme_rays(cone, reject=None):
 
     Double description: start from the nonnegative orthant (rays e_i) and
     intersect with each hyperplane a.x = 0 in turn, keeping incident rays
-    and combining adjacent rays from opposite open sides.  Hyperplanes are
-    inserted in lexicographic order of their rows and evaluated over
-    their nonzero columns only.  Adjacency of two rays in the current
-    cone is decided combinatorially: with S the union of their supports,
-    the pair is adjacent exactly when no third current ray has its
-    support inside S.  The cone lies in the orthant, so it is pointed, and
+    and combining adjacent rays from opposite open sides.  Each row is
+    first scaled by the least positive integer that makes it integral,
+    which keeps its hyperplane.  Hyperplanes are inserted in
+    lexicographic order of those integer rows and evaluated over their
+    nonzero columns only.  Adjacency of two rays in the current cone is
+    decided combinatorially: with S the union of their supports, the
+    pair is adjacent exactly when no third current ray has its support
+    inside S.  The cone lies in the orthant, so it is pointed, and
     the current rays are exactly its extreme rays, one per support; under
     these two conditions the combinatorial test is exact (Fukuda and
     Prodon, "Double description method revisited", 1996).  A new ray is a
@@ -269,8 +254,8 @@ def enumerate_extreme_rays(cone, reject=None):
         raise ValueError("every row needs one entry per coordinate (%d)"
                          % dim)
     full = (1 << dim) - 1
-    rows = sorted(set(tuple(int(x) for x in r) for r in cone.rows
-                      if any(x != 0 for x in r)))
+    rows = sorted({tuple(_integer_row(r)[1]) for r in cone.rows}
+                  - {(0,) * dim})
     rays = []
     masks = []
     for i in range(dim):
@@ -551,7 +536,7 @@ def solve_lp(objective, equalities, upper=None, maximize=True):
     if upper is not None and len(upper) != n:
         raise ValueError("%d upper bounds for %d variables"
                          % (len(upper), n))
-    _check_rational(objective, rhs, upper or (), *a)
+    check_rational(objective, rhs, upper or (), *a)
     c = [Fraction(x) if maximize else -Fraction(x) for x in objective]
     b = list(rhs)
     if upper is not None:
@@ -627,7 +612,7 @@ def remove_redundant_points(points):
     unique, so the output does not depend on which certificate each LP
     returns.
     """
-    _check_rational(*points)
+    check_rational(*points)
     pts = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
     d = len(pts[0]) if pts else 0
     _check_lengths(pts, d)

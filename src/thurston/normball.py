@@ -20,7 +20,8 @@ from .coords import (NormalVector, build_matching_system, forget_orientation,
 from .homology import homology_map_matrix
 from .linalg import (ConeDescription, enumerate_extreme_rays,
                      remove_redundant_points, rref, solve_lp)
-from .rat import dot, integer_numerators, primitive_integer_vector
+from .rat import (check_rational, dot, integer_numerators,
+                  primitive_integer_vector)
 from .surfaces import (assign_transverse_orientation,
                        is_algebraically_aspherical, reconstruct_surface)
 from .triangulation import is_simplicial
@@ -38,13 +39,23 @@ class DegenerateNormBall(NormBallError):
 
 @dataclass(frozen=True)
 class ProjectiveVertex:
-    """An extreme point of the projective solution space: coordinates sum
-    to one, tagged with its Euler functional value and admissibility."""
+    """An extreme point of the projective solution space, tagged with its
+    Euler functional value and admissibility.
 
-    coords: tuple
+    It keeps the extreme ray's coprime integer coordinates `ray` and their
+    sum `total`; `coords`, the point with coordinates summing to one
+    (ray / total, as Fractions), is built on first access only."""
+
+    ray: tuple
+    total: int
     support: frozenset = field(compare=False)
     chi: Fraction = field(compare=False)
     admissible: bool = field(compare=False)
+
+    @cached_property
+    def coords(self):
+        total = self.total
+        return tuple(Fraction(c, total) if c else _ZERO for c in self.ray)
 
 
 @dataclass
@@ -144,15 +155,18 @@ class Pipeline:
                 True: (tuple(n for n in nums for _ in (1, -1)), den)}
 
     def _tag_vertex(self, ray, oriented=True):
-        total = sum(ray.coords)
-        coords = tuple(Fraction(c, total) if c else _ZERO
-                       for c in ray.coords)
+        """The ProjectiveVertex of an extreme ray: its Euler functional
+        value is the integer numerators' dot product with the ray over
+        den times the ray's sum, one Fraction; no coordinate becomes a
+        Fraction here."""
+        coords = ray.coords
+        total = sum(coords)
         support = ray.support
         nums, den = self._chi_integer[oriented]
-        chi = Fraction(sum(nums[i] * ray.coords[i] for i in support),
+        chi = Fraction(sum(nums[i] * coords[i] for i in support),
                        den * total)
         adm = not self.quad_conflict[oriented](_mask(support))
-        return ProjectiveVertex(coords, support, chi, adm)
+        return ProjectiveVertex(coords, total, support, chi, adm)
 
     def enumerate_vertices(self, oriented=True):
         """Sum-one normalizations of the extreme rays of the chosen cone,
@@ -172,7 +186,9 @@ class Pipeline:
                 continue
             v = self._tag_vertex(ray)
             if v.chi < 0:
-                bverts.append(tuple(c / abs(v.chi) for c in v.coords))
+                # (c / total) / |chi| = c * q / |p| with chi * total = p / q.
+                p, q = (v.chi * v.total).as_integer_ratio()
+                bverts.append(tuple(Fraction(c * q, -p) for c in v.ray))
             elif v.chi == 0 and variant == "le":
                 recession.append(v.coords)
         return bverts, recession
@@ -416,11 +432,12 @@ def evaluate_norm(ball, c):
     computed unit ball: the least total mass of a nonnegative combination
     of ball vertices representing c.
 
+    The class's entries must be ints or Fractions (TypeError otherwise).
     The vertices and the class are scaled to integers by one common
     denominator; the combinations, and so the value, stay the same."""
     if ball.variant != "strict":
         raise NormBallError("norm evaluation requires the strict ball")
-    c = tuple(Fraction(x) for x in c)
+    check_rational(c)
     if len(c) != ball.b:
         raise NormBallError("class dimension mismatch")
     if all(x == 0 for x in c):

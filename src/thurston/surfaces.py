@@ -10,16 +10,23 @@ reconstruction glues the discs along those arcs, splits the result into
 connected components and computes the Euler characteristic of each from
 its cell structure, decides 2-sidedness by propagating transverse
 orientations, and recognizes vertex-linking components.
+
+The reconstruction runs on the integer disc counts.  Discs are numbered
+in (tet, kind, sheet) order, so the discs of (tet, kind) have the
+consecutive ids offset[7 * tet + kind] + sheet, with offset the running
+count of the discs before them, and an arc stack is two ranges of ids.
+A disc corner, where the disc meets the tetrahedron edge with index e
+(EDGE_INDEX), is slot 6 * disc + e of one flat union-find whose classes
+are the surface's vertices.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .chi import chi_star_coefficients
 from .coords import (NormalVector, build_matching_system, conflicting_quads,
-                     disc_edges, disc_index, forget_orientation, is_admissible,
-                     is_compatible, quad_arc_sign_factor, quad_kind_for_arc,
-                     QUAD_PAIR, TRI_KINDS)
+                     disc_edges, disc_index, forget_orientation, is_compatible,
+                     quad_arc_sign_factor, quad_kind_for_arc, QUAD_PAIR,
+                     TRI_KINDS)
 from .linalg import ConeDescription, is_extreme_ray, solve_lp
 from .triangulation import EDGE_INDEX, FACE_CORNERS
 
@@ -56,7 +63,7 @@ class NormalSurface:
         """Oriented coordinate of a 2-sided component when its base disc
         is given transverse orientation `sign`."""
         n = 2 * len(self.x.coords)
-        coords = [Fraction(0)] * n
+        coords = [0] * n
         for i in comp.discs:
             tet, kind, _ = self.discs[i]
             coords[disc_index(tet, kind, sign * self._disc_sign[i], True)] += 1
@@ -77,36 +84,40 @@ class NormalSurface:
                 "num_discs": len(self.discs)}
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+# Per disc kind, the indices (EDGE_INDEX) of the tetrahedron edges its
+# corners lie on.
+_KIND_EDGES = tuple(tuple(EDGE_INDEX[pair] for pair in disc_edges(kind))
+                    for kind in range(7))
 
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def _arc_stack(x, tet, face, corner, disc_ids):
-    """Disc ids whose boundary arcs cut off `corner` in `face` of `tet`,
-    ordered outward from the corner: triangle sheets first, then the quad
-    sheets nearest or farthest first according to which side of the quad
-    the corner lies on."""
-    tri_count = int(x.coords[disc_index(tet, corner, oriented=False)])
-    stack = [disc_ids[(tet, corner, s)] for s in range(tri_count)]
+def _arc_quad(face, corner):
+    """The quad kind whose arc in `face` cuts off `corner`, whether its
+    sheets run outward from the corner in reverse sheet order (the corner
+    lies away from the quad's named pair), and the sign relating its
+    transverse orientation to the one it induces on that arc; a
+    triangle's arc always has sign +1."""
     qk = quad_kind_for_arc(face, corner)
-    quad_count = int(x.coords[disc_index(tet, qk, oriented=False)])
-    sheets = range(quad_count)
-    if corner not in QUAD_PAIR[qk]:
-        sheets = reversed(sheets)
-    stack.extend(disc_ids[(tet, qk, s)] for s in sheets)
-    return stack
+    return qk, corner not in QUAD_PAIR[qk], quad_arc_sign_factor(face, corner)
+
+
+# _arc_quad per face and corner, None where the corner is the face's own
+# (opposite) vertex.
+_ARC_QUADS = tuple(tuple(_arc_quad(face, corner) if corner != face else None
+                         for corner in range(4))
+                   for face in range(4))
+
+
+def _arc_stack(counts, offset, tet, face, corner):
+    """The disc ids whose boundary arcs cut off `corner` in `face` of
+    `tet`, ordered outward from the corner: triangle sheets first, then
+    the quad sheets nearest or farthest first according to which side of
+    the quad the corner lies on.  Returns (ids, t, eta): the first t ids
+    are triangles, and eta is the arc sign of the quads that follow."""
+    qk, reverse, eta = _ARC_QUADS[face][corner]
+    t = 7 * tet + corner
+    q = 7 * tet + qk
+    quads = range(offset[q], offset[q] + counts[q])
+    return ([*range(offset[t], offset[t] + counts[t]),
+             *(quads[::-1] if reverse else quads)], counts[t], eta)
 
 
 def reconstruct_surface(tri, x, matching=None):
@@ -114,6 +125,13 @@ def reconstruct_surface(tri, x, matching=None):
 
     x must be integral, nonnegative, admissible and satisfy the unoriented
     matching equations; each violated precondition raises its own error.
+
+    The preconditions are checked once, on the integer counts.  An arc
+    stack is a range of triangle ids followed by a range of quad ids (see
+    the module docstring), and the relative orientation of two glued
+    discs comes from the arc signs of those two ranges, one per range
+    rather than one per disc.  Each glued arc unites the corner slots of
+    its two ends on either side.
     """
     if x.oriented:
         raise ValueError("expected unoriented coordinates")
@@ -121,49 +139,72 @@ def reconstruct_surface(tri, x, matching=None):
         raise ValueError("not in the nonnegative cone")
     if not x.is_integral():
         raise ValueError("coordinates are not integral")
-    if not is_admissible(x):
+    counts = x.coords
+    if any((counts[i] != 0) + (counts[i + 1] != 0) + (counts[i + 2] != 0) > 1
+           for i in range(4, len(counts) - 2, 7)):
         raise ValueError("not admissible: two quad kinds share a tetrahedron")
     if matching is None:
         matching = build_matching_system(tri, oriented=False)
-    if not matching.is_in_kernel(x.coords):
+    if not matching.is_in_kernel(counts):
         raise ValueError("matching equations violated")
 
     discs = []
-    disc_ids = {}
-    for tet in range(tri.num_tets):
-        for kind in range(7):
-            count = int(x.coords[disc_index(tet, kind, oriented=False)])
-            for sheet in range(count):
-                disc_ids[(tet, kind, sheet)] = len(discs)
-                discs.append((tet, kind, sheet))
+    offset = []
+    for i, count in enumerate(counts):
+        offset.append(len(discs))
+        if count:
+            tet, kind = divmod(i, 7)
+            discs.extend((tet, kind, sheet) for sheet in range(count))
+
+    # Surface vertices: orbits of disc corners under the identifications
+    # induced by the glued arcs.  A root is always a corner some disc
+    # has, since only such slots are ever united.
+    parent = list(range(6 * len(discs)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
     gluings = []
     for (tet_m, f_m), (tet_p, f_p) in tri.face_classes:
-        g = tri.gluings[tet_m][f_m]
+        perm = tri.gluings[tet_m][f_m].perm
         for corner in FACE_CORNERS[f_m]:
-            side_m = _arc_stack(x, tet_m, f_m, corner, disc_ids)
-            side_p = _arc_stack(x, tet_p, f_p, g.perm[corner], disc_ids)
-            if len(side_m) != len(side_p):
+            side_m, tri_m, eta_m = _arc_stack(counts, offset, tet_m, f_m,
+                                              corner)
+            side_p, tri_p, eta_p = _arc_stack(counts, offset, tet_p, f_p,
+                                              perm[corner])
+            n = len(side_m)
+            if n != len(side_p):
                 raise ArithmeticError("arc stacks differ across a face")
-            for da, db in zip(side_m, side_p):
-                rel = _eta(discs[da][1], f_m, corner) * \
-                    _eta(discs[db][1], f_p, g.perm[corner])
-                gluings.append((da, f_m, db, f_p, rel, corner))
+            if not n:
+                continue
+            # The arc's ends: the edges from `corner` to the face's other
+            # two corners, on either side.
+            ends = [(EDGE_INDEX[corner, w],
+                     EDGE_INDEX[perm[corner], perm[w]])
+                    for w in FACE_CORNERS[f_m] if w != corner]
+            cuts = sorted({0, tri_m, tri_p, n})
+            for lo, hi in zip(cuts, cuts[1:]):
+                rel = (1 if lo < tri_m else eta_m) * \
+                    (1 if lo < tri_p else eta_p)
+                for da, db in zip(side_m[lo:hi], side_p[lo:hi]):
+                    gluings.append((da, f_m, db, f_p, rel))
+                    for ea, eb in ends:
+                        ra, rb = find(6 * da + ea), find(6 * db + eb)
+                        if ra != rb:
+                            parent[max(ra, rb)] = min(ra, rb)
 
-    surface = NormalSurface(x, discs, [gl[:5] for gl in gluings])
-    _split_components(tri, surface, gluings)
+    surface = NormalSurface(x, discs, gluings)
+    _split_components(tri, surface, parent)
     return surface
 
 
-def _eta(kind, face, corner):
-    """Sign relating a disc's transverse orientation to the orientation it
-    induces on its arc at (face, corner)."""
-    if kind in TRI_KINDS:
-        return 1
-    return quad_arc_sign_factor(face, corner)
-
-
-def _split_components(tri, surface, gluings):
+def _split_components(tri, surface, parent):
+    """Components of the surface, with their Euler characteristics from
+    the cell structure: a vertex per corner orbit (a root of `parent`),
+    an edge per glued arc, a face per disc."""
     discs = surface.discs
     n = len(discs)
 
@@ -174,7 +215,7 @@ def _split_components(tri, surface, gluings):
     comp = [0] * n
     two_sided = {}
     adj = [[] for _ in range(n)]
-    for da, _, db, _, rel, _ in gluings:
+    for da, _, db, _, rel in surface.gluings:
         adj[da].append((db, rel))
         adj[db].append((da, rel))
     for root in range(n):
@@ -197,41 +238,21 @@ def _split_components(tri, surface, gluings):
         two_sided[root] = ok
     surface._disc_sign = sign
 
-    # Surface vertices: orbits of disc corners (disc, tetrahedron edge)
-    # under the identifications induced by the glued arcs.
-    corner_ids = {}
-    for i, (tet, kind, _) in enumerate(discs):
-        for pair in disc_edges(kind):
-            corner_ids[(i, EDGE_INDEX[pair])] = len(corner_ids)
-    cuf = _UnionFind(len(corner_ids))
-    for da, f_a, db, f_b, _, corner in gluings:
-        tet_a = discs[da][0]
-        g = tri.gluings[tet_a][f_a]
-        others = [w for w in FACE_CORNERS[f_a] if w != corner]
-        for w in others:
-            ca = corner_ids[(da, EDGE_INDEX[(corner, w)])]
-            cb = corner_ids[(db, EDGE_INDEX[(g.perm[corner], g.perm[w])])]
-            cuf.union(ca, cb)
-
     comp_discs = {}
-    for i in range(n):
-        comp_discs.setdefault(comp[i], []).append(i)
-    comp_verts = {}
-    seen_orbits = set()
-    for (i, ei), cid in corner_ids.items():
-        orbit = cuf.find(cid)
-        if orbit in seen_orbits:
-            continue
-        seen_orbits.add(orbit)
-        comp_verts[comp[i]] = comp_verts.get(comp[i], 0) + 1
-    comp_edges = {}
-    for da, _, db, _, _, _ in gluings:
-        comp_edges[comp[da]] = comp_edges.get(comp[da], 0) + 1
+    comp_chi = {}
+    for i, (_, kind, _) in enumerate(discs):
+        c = comp[i]
+        comp_discs.setdefault(c, []).append(i)
+        base = 6 * i
+        comp_chi[c] = comp_chi.get(c, 0) + 1 + sum(
+            1 for e in _KIND_EDGES[kind] if parent[base + e] == base + e)
+    for da, _, _, _, _ in surface.gluings:
+        comp_chi[comp[da]] -= 1
 
     components = []
     for root in sorted(comp_discs):
         ids = comp_discs[root]
-        chi = comp_verts.get(root, 0) - comp_edges.get(root, 0) + len(ids)
+        chi = comp_chi[root]
         orientable = two_sided[root]
         vl, vc = _vertex_linking(tri, surface, ids)
         genus = (2 - chi) // 2 if orientable else None
@@ -295,7 +316,7 @@ def assign_transverse_orientation(tri, surface, target):
                 chosen.pop()
         return False
 
-    zero = tuple(Fraction(0) for _ in goal)
+    zero = (0,) * len(goal)
     if search(0, zero):
         return list(chosen)
     return None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 import thurston
 from thurston.cli import run
 from thurston.coords import vertex_linking_vector
-from thurston.fixtures import fixture_json, load
+from thurston.fixtures import fixture_json, load, names
+from thurston.homology import homology_map_matrix
 from thurston.rat import parse_fraction, primitive_integer_vector
 
 
@@ -275,6 +277,33 @@ def test_surface_coords_must_be_an_array_of_fractions(paths, capsys, coords):
     assert json.loads(out)["error"]["code"] == "bad-coords"
 
 
+def test_surface_coords_in_any_form_print_alike(paths, capsys):
+    """"4/2" is the integer 2: the surface is the one "2/1" gives, and
+    so is the plain integer 2."""
+    link = vertex_linking_vector(load("d2"), 0, oriented=False).scale(2)
+    outs = set()
+    for two in ("2/1", "4/2", 2, "2"):
+        coords = [two if c else "0/1" for c in link.coords]
+        code, out = _run(capsys, ["surface", paths["d2"], "--coords",
+                                  json.dumps({"coords": coords,
+                                              "oriented": False})])
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["num_discs"] == 4
+
+
+def test_surface_non_integral_coords_are_bad_surface(paths, capsys):
+    for half in ("1/2", "3/2"):
+        coords = [half] + ["0/1"] * 13
+        code, out = _run(capsys, ["surface", paths["d2"], "--coords",
+                                  json.dumps({"coords": coords,
+                                              "oriented": False})])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "bad-surface", "message": "coordinates are not integral"}
+
+
 def test_representative_zero_class(paths, capsys):
     code, out = _run(capsys, ["representative", paths["d2"],
                               "--class", "", "--max-weight", "2"])
@@ -325,3 +354,56 @@ def test_parser_reuse_matches_fresh_processes(paths, capsys):
                                env=env, capture_output=True, text=True,
                                timeout=60)
         assert _run(capsys, argv) == (fresh.returncode, fresh.stdout), argv
+
+
+# One sha256 over the argv, exit code and stdout of every invocation below,
+# in order: `enumerate` in both theories (three_tet's oriented cone does
+# not finish), `efficiency`, and `surface` on every admissible vertex of
+# the unoriented enumeration at 1, 2 and 3 times its primitive integer
+# representative, on every fixture; then `representative --max-weight 2`
+# at the all-ones class on d2, one_tet and two_tet_b1.  Recorded from the
+# program before normal coordinates were carried as integers.
+STDOUT_DIGEST = (
+    71, "acbfe31651e3f1c9de2ddd66a90b14d7edb5274bcc4defc192bec579362692b1")
+
+
+def _digest_invocations(tmp_path, capsys):
+    for name in names():
+        path = tmp_path / (name + ".json")
+        path.write_text(fixture_json(name))
+        path = str(path)
+        theories = ([["--unoriented"]] if name == "three_tet"
+                    else [[], ["--unoriented"]])
+        for extra in theories:
+            yield ["enumerate", path] + extra
+        yield ["efficiency", path]
+        _, out = _run(capsys, ["enumerate", path, "--unoriented"])
+        for v in json.loads(out)["vertices"]:
+            if not v["admissible"]:
+                continue
+            ints = primitive_integer_vector(
+                [parse_fraction(c) for c in v["coords"]])
+            for k in (1, 2, 3):
+                payload = json.dumps({"coords": ["%d/1" % (k * c)
+                                                 for c in ints],
+                                      "oriented": False})
+                yield ["surface", path, "--coords", payload]
+    for name in ("d2", "one_tet", "two_tet_b1"):
+        path = tmp_path / (name + ".json")
+        b = homology_map_matrix(load(name)).b
+        yield ["representative", str(path), "--class", ",".join(["1"] * b),
+               "--max-weight", "2"]
+
+
+def test_stdout_digest_pinned(tmp_path, capsys):
+    """CLI stdout and exit codes are byte-identical to the recorded ones on
+    every fixture and the commands that read normal coordinates."""
+    h = hashlib.sha256()
+    count = 0
+    for argv in _digest_invocations(tmp_path, capsys):
+        code, out = _run(capsys, argv)
+        h.update(("%s\0%d\0%s\0" % (
+            "\0".join(a.replace(str(tmp_path), "") for a in argv),
+            code, out)).encode())
+        count += 1
+    assert (count, h.hexdigest()) == STDOUT_DIGEST

@@ -161,3 +161,29 @@ def test_normal_vector_json_roundtrip():
     obj = x.to_json_obj()
     assert obj["coords"] == ["1/3", "-2/1"]
     assert NormalVector.from_json_obj(obj) == x
+
+
+def test_normal_vector_entries_are_ints_exactly_when_integral():
+    """Integral entries are held as ints, others as Fractions, whatever
+    form they came in; the vector compares and hashes equal to one built
+    from Fractions."""
+    x = NormalVector((Fraction(4, 2), 3, Fraction(1, 2), Fraction(0), -5),
+                     False)
+    assert [type(c) for c in x.coords] == [int, int, Fraction, int, int]
+    assert x.coords == (2, 3, Fraction(1, 2), 0, -5)
+    y = NormalVector(tuple(Fraction(c) for c in x.coords), False)
+    assert x == y and hash(x) == hash(y)
+    assert hash(NormalVector((1, 2), True)) == hash(
+        NormalVector((Fraction(1), Fraction(2)), True))
+    assert x.is_integral() is False and y.scale(2).is_integral()
+    assert [type(c) for c in x.scale(Fraction(2)).coords] == [int] * 5
+    assert (x + y).coords == (4, 6, 1, 0, -10)
+    assert all(type(c) is int for c in (x + y).coords)
+
+
+@pytest.mark.parametrize("entry", [1.0, 0.5, "1", True, False, None])
+def test_normal_vector_rejects_non_rational_entries(entry):
+    with pytest.raises(TypeError):
+        NormalVector((0, entry), False)
+    with pytest.raises(TypeError):
+        NormalVector((0, 1), False).scale(entry)

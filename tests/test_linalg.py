@@ -274,6 +274,24 @@ def test_ray_canonical_form():
     assert r.support == frozenset({1, 2})
 
 
+def test_extreme_rays_scale_fraction_rows():
+    """A Fraction row is scaled to the integer row of the same hyperplane:
+    3x/2 = y has the ray (2, 3), as 3x = 2y does."""
+    for row in ((Fraction(3, 2), -1), (3, -2), (Fraction(-3, 4),
+                                                 Fraction(1, 2))):
+        assert enumerate_extreme_rays(ConeDescription((row,), 2)) == \
+            [Ray((2, 3))], row
+
+
+@pytest.mark.parametrize("row", [(1.5, -1), ("1", -1), (True, -1),
+                                 (0.0, 0)])
+def test_extreme_rays_reject_non_rational_rows(row):
+    """Rows used to be read through int(), so (1.5, -1) and ("1", -1)
+    both gave the ray (1, 1)."""
+    with pytest.raises(TypeError):
+        enumerate_extreme_rays(ConeDescription((row,), 2))
+
+
 def test_lp_basic_optimum():
     res = solve_lp([1, 0], ([[1, 1]], [1]))
     assert res.optimal

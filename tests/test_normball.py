@@ -121,6 +121,16 @@ def test_evaluate_norm_dimension_checks():
         evaluate_norm(le_ball, (1,))
 
 
+@pytest.mark.parametrize("cls", [(0.1,), (True,), ("1",), (1.0,)])
+def test_evaluate_norm_rejects_non_rational_class(cls):
+    """On the ball {-1, 1}, (0.1,) used to give
+    3602879701896397/36028797018963968 and (True,) gave 1."""
+    with pytest.raises(TypeError):
+        evaluate_norm(_segment_ball(1), cls)
+    assert evaluate_norm(_segment_ball(1), (Fraction(1, 10),)) == \
+        Fraction(1, 10)
+
+
 def test_evaluate_norm_outside_cone():
     flat = NormBall("strict", 2, [[1, 0], [0, 1]], [],
                     [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))],
@@ -461,6 +471,22 @@ def test_filtered_rays_three_tet_oriented():
     for r in rays:
         assert is_admissible(NormalVector(r.coords, True))
         assert is_extreme_ray(cone, r.coords)
+
+
+@pytest.mark.parametrize("name,oriented", FULL_CONES)
+def test_projective_vertex_keeps_its_integer_ray(name, oriented):
+    """A vertex holds its coprime integer ray and the ray's sum; its
+    sum-one coordinates are ray / total as Fractions, and two vertices
+    are equal exactly when their rays are."""
+    pipe = _pipe(name)
+    rays = pipe.oriented_rays if oriented else pipe.unoriented_rays
+    verts = pipe.enumerate_vertices(oriented)
+    for r, v in zip(rays, verts):
+        assert v.ray == r.coords and v.total == sum(r.coords)
+        assert "coords" not in vars(v)
+        assert v.coords == tuple(Fraction(c, v.total) for c in r.coords)
+        assert all(type(c) is Fraction for c in v.coords)
+    assert len(set(verts)) == len(verts)
 
 
 @pytest.mark.parametrize("name,oriented", FULL_CONES)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from thurston.rat import format_fraction, parse_fraction
+from thurston.rat import (format_fraction, format_quotients, format_vector,
+                          parse_fraction, parse_vector)
 
 
 def test_parse_fraction_accepts_canonical_forms():
@@ -26,3 +27,20 @@ def test_parse_fraction_rejects_booleans_and_zero_denominator():
         parse_fraction(True)
     with pytest.raises(ZeroDivisionError):
         parse_fraction("1/0")
+
+
+def test_parse_fraction_gives_an_int_when_integral():
+    for text, value in (("4/2", 2), ("-6/3", -2), ("0/5", 0), ("7", 7),
+                        ("2/1", 2), (" 3/1 ", 3), (9, 9)):
+        got = parse_fraction(text)
+        assert type(got) is int and got == value, text
+    assert parse_vector(["1/2", "4/2", "-3"]) == (Fraction(1, 2), 2, -3)
+    assert type(parse_fraction("3/2")) is Fraction
+
+
+def test_format_fraction_of_ints_and_quotients():
+    assert format_vector([0, -3, Fraction(1, 2), Fraction(4)]) == \
+        ["0/1", "-3/1", "1/2", "4/1"]
+    assert format_quotients((0, 2, 3, 6, -4), 6) == \
+        [format_fraction(Fraction(n, 6)) for n in (0, 2, 3, 6, -4)]
+

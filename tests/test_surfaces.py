@@ -1,15 +1,25 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from thurston.chi import chi_star
-from thurston.coords import (NormalVector, build_matching_system, disc_index,
-                             forget_orientation, vertex_linking_vector)
+from thurston.coords import (NormalVector, QUAD_PAIR, TRI_KINDS,
+                             build_matching_system, disc_edges, disc_index,
+                             forget_orientation, is_admissible,
+                             quad_arc_sign_factor, quad_kind_for_arc,
+                             vertex_linking_vector)
 from thurston.fixtures import load, names
-from thurston.surfaces import (add_compatible, assign_transverse_orientation,
+from thurston.normball import Pipeline
+from thurston.surfaces import (NormalSurface, SurfaceComponent,
+                               add_compatible, assign_transverse_orientation,
                                is_algebraically_aspherical,
                                reconstruct_surface)
+from thurston.triangulation import (EDGE_INDEX, FACE_CORNERS,
+                                    triangulation_from_json)
+
+from test_normball import B1_GROWN
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +159,169 @@ def test_disjoint_links_sum(d2):
     s = reconstruct_surface(d2, add_compatible(a, b))
     assert len(s.components) == 2
     assert all(c.chi == 2 for c in s.components)
+
+
+def _reference_reconstruct(tri, x):
+    """The reconstruction as it was before it worked on integer counts: a
+    Fraction per weight, discs keyed by (tet, kind, sheet) in a dict, a
+    per-disc arc sign and a union-find over corners keyed by (disc,
+    edge).  Preconditions are the caller's."""
+    parent = []
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def eta(kind, face, corner):
+        return 1 if kind in TRI_KINDS else quad_arc_sign_factor(face, corner)
+
+    def count(tet, kind):
+        return int(Fraction(x.coords[disc_index(tet, kind, oriented=False)]))
+
+    def arc_stack(tet, face, corner):
+        stack = [disc_ids[(tet, corner, s)] for s in range(count(tet, corner))]
+        qk = quad_kind_for_arc(face, corner)
+        sheets = range(count(tet, qk))
+        if corner not in QUAD_PAIR[qk]:
+            sheets = reversed(sheets)
+        return stack + [disc_ids[(tet, qk, s)] for s in sheets]
+
+    discs = []
+    disc_ids = {}
+    for tet in range(tri.num_tets):
+        for kind in range(7):
+            for sheet in range(count(tet, kind)):
+                disc_ids[(tet, kind, sheet)] = len(discs)
+                discs.append((tet, kind, sheet))
+    gluings = []
+    for (tet_m, f_m), (tet_p, f_p) in tri.face_classes:
+        g = tri.gluings[tet_m][f_m]
+        for corner in FACE_CORNERS[f_m]:
+            side_m = arc_stack(tet_m, f_m, corner)
+            side_p = arc_stack(tet_p, f_p, g.perm[corner])
+            assert len(side_m) == len(side_p)
+            for da, db in zip(side_m, side_p):
+                rel = eta(discs[da][1], f_m, corner) * \
+                    eta(discs[db][1], f_p, g.perm[corner])
+                gluings.append((da, f_m, db, f_p, rel, corner))
+    surface = NormalSurface(x, discs, [gl[:5] for gl in gluings])
+
+    n = len(discs)
+    sign = [0] * n
+    comp = [0] * n
+    two_sided = {}
+    adj = [[] for _ in range(n)]
+    for da, _, db, _, rel, _ in gluings:
+        adj[da].append((db, rel))
+        adj[db].append((da, rel))
+    for root in range(n):
+        if sign[root] != 0:
+            continue
+        sign[root] = 1
+        comp[root] = root
+        ok = True
+        queue = [root]
+        while queue:
+            cur = queue.pop()
+            for nxt, rel in adj[cur]:
+                want = rel * sign[cur]
+                if sign[nxt] == 0:
+                    sign[nxt] = want
+                    comp[nxt] = root
+                    queue.append(nxt)
+                elif sign[nxt] != want:
+                    ok = False
+        two_sided[root] = ok
+    surface._disc_sign = sign
+
+    corner_ids = {}
+    for i, (tet, kind, _) in enumerate(discs):
+        for pair in disc_edges(kind):
+            corner_ids[(i, EDGE_INDEX[pair])] = len(corner_ids)
+    parent.extend(range(len(corner_ids)))
+    for da, f_a, db, f_b, _, corner in gluings:
+        g = tri.gluings[discs[da][0]][f_a]
+        for w in FACE_CORNERS[f_a]:
+            if w != corner:
+                ra = find(corner_ids[(da, EDGE_INDEX[(corner, w)])])
+                rb = find(corner_ids[(db, EDGE_INDEX[(g.perm[corner],
+                                                      g.perm[w])])])
+                parent[max(ra, rb)] = min(ra, rb)
+    comp_discs = {}
+    for i in range(n):
+        comp_discs.setdefault(comp[i], []).append(i)
+    comp_verts = {}
+    orbits = set()
+    for (i, _), cid in corner_ids.items():
+        orbit = find(cid)
+        if orbit not in orbits:
+            orbits.add(orbit)
+            comp_verts[comp[i]] = comp_verts.get(comp[i], 0) + 1
+    comp_edges = {}
+    for da, _, _, _, _, _ in gluings:
+        comp_edges[comp[da]] = comp_edges.get(comp[da], 0) + 1
+    for root in sorted(comp_discs):
+        ids = comp_discs[root]
+        chi = comp_verts.get(root, 0) - comp_edges.get(root, 0) + len(ids)
+        vl, vc = _reference_vertex_linking(tri, discs, ids)
+        surface.components.append(SurfaceComponent(
+            ids, chi, two_sided[root], vl, vc,
+            (2 - chi) // 2 if two_sided[root] else None))
+    return surface
+
+
+def _reference_vertex_linking(tri, discs, ids):
+    corners = set()
+    for i in ids:
+        tet, kind, _ = discs[i]
+        if kind not in TRI_KINDS:
+            return False, None
+        corners.add((tet, kind))
+    classes = {tri.vertex_class[c] for c in corners}
+    if len(classes) != 1:
+        return False, None
+    vc = classes.pop()
+    if len(ids) != len(tri.vertex_classes[vc]):
+        return False, None
+    assert corners == set(tri.vertex_classes[vc])
+    return True, vc
+
+
+def _differential_inputs():
+    """(name, tri, x): every admissible vertex of the unoriented cone of
+    every fixture and of the grown two_tet_b1, at 1, 2 and 3 times its
+    primitive integer ray, and seeded sums of compatible pairs of them."""
+    rng = random.Random(18)
+    tris = [(name, load(name)) for name in names()]
+    tris.append(("b1_grown", triangulation_from_json(B1_GROWN)))
+    for name, tri in tris:
+        rays = [NormalVector(r.coords, False)
+                for r in Pipeline(tri).admissible_unoriented_rays]
+        for x in rays:
+            for k in (1, 2, 3):
+                yield name, tri, x.scale(k)
+        pairs = [(x, y) for i, x in enumerate(rays) for y in rays[i + 1:]
+                 if is_admissible(x + y)]
+        for x, y in rng.sample(pairs, min(len(pairs), 12)):
+            yield name, tri, x.scale(rng.randint(1, 3)) + \
+                y.scale(rng.randint(1, 3))
+
+
+def test_reconstruction_matches_reference():
+    """Discs, gluings, components and transverse signs agree with the
+    reference reconstruction, on vertex surfaces, their multiples and
+    sums of compatible pairs."""
+    seen = Counter()
+    for name, tri, x in _differential_inputs():
+        got = reconstruct_surface(tri, x)
+        want = _reference_reconstruct(tri, x)
+        assert got.discs == want.discs, (name, x)
+        assert got.gluings == want.gluings, (name, x)
+        assert got.components == want.components, (name, x)
+        assert got._disc_sign == want._disc_sign, (name, x)
+        seen[name] += 1
+        seen["one-sided"] += any(not c.orientable for c in got.components)
+        seen["multi"] += len(got.components) > 1
+    assert seen["b1_grown"] >= 30 and seen["one-sided"] and seen["multi"]
