@@ -12,6 +12,9 @@ from thurston.coords import vertex_linking_vector
 from thurston.fixtures import fixture_json, load, names
 from thurston.homology import homology_map_matrix
 from thurston.rat import parse_fraction, primitive_integer_vector
+from thurston.triangulation import triangulation_from_json
+
+from test_normball import B1_GROWN
 
 
 @pytest.fixture()
@@ -407,3 +410,42 @@ def test_stdout_digest_pinned(tmp_path, capsys):
             code, out)).encode())
         count += 1
     assert (count, h.hexdigest()) == STDOUT_DIGEST
+
+
+# sha256 over argv (temporary directory stripped), exit code and stdout,
+# in order: `ball`, `ball --variant le` and `ball --emit-homology` on every
+# fixture but three_tet (its oriented cone takes about 20 s) and on the
+# grown two_tet_b1, the one input with a nonempty B, each followed by
+# `norm --class 1,...,1` when b >= 1.  Recorded from the program that
+# still ran the asphericity check on every B vertex.
+BALL_DIGEST = (
+    17, "f06ec1d7c3bcd635a5b63d0c4dbc1d504511232833b69389694184b514897dba")
+
+
+def _ball_invocations(tmp_path):
+    inputs = [(name, fixture_json(name)) for name in names()
+              if name != "three_tet"] + [("b1_grown", B1_GROWN)]
+    for name, text in inputs:
+        path = tmp_path / (name + ".json")
+        path.write_text(text)
+        path = str(path)
+        for extra in ([], ["--variant", "le"], ["--emit-homology"]):
+            yield ["ball", path] + extra
+        b = homology_map_matrix(triangulation_from_json(text)).b
+        if b:
+            yield ["norm", path, "--class", ",".join(["1"] * b)]
+
+
+def test_ball_digest_pinned(tmp_path, capsys):
+    """`ball` and `norm` stdout and exit codes are byte-identical to the
+    recorded ones on the fixtures and on the one input whose B is
+    nonempty."""
+    h = hashlib.sha256()
+    count = 0
+    for argv in _ball_invocations(tmp_path):
+        code, out = _run(capsys, argv)
+        h.update(("%s\0%d\0%s\0" % (
+            "\0".join(a.replace(str(tmp_path), "") for a in argv),
+            code, out)).encode())
+        count += 1
+    assert (count, h.hexdigest()) == BALL_DIGEST
