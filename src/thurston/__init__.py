@@ -10,8 +10,7 @@ from .linalg import (ConeDescription, Ray, enumerate_extreme_rays,
                      remove_redundant_points, solve_lp)
 from .normball import NormBall, Pipeline, ProjectiveVertex, evaluate_norm
 from .surfaces import (NormalSurface, add_compatible,
-                       assign_transverse_orientation,
-                       is_algebraically_aspherical, reconstruct_surface)
+                       assign_transverse_orientation, reconstruct_surface)
 from .triangulation import (Triangulation, InvalidTriangulation,
                             TriangulationError, compute_skeleton,
                             parse_triangulation, triangulation_from_json,

@@ -136,23 +136,6 @@ class NormalVector:
         return cls(parse_vector(obj["coords"]), obj["oriented"])
 
 
-def enumerate_disc_types(tri):
-    """Index lists for both theories plus the oriented arc classes.
-
-    Returns (oriented_discs, unoriented_discs, arc_classes) where disc
-    entries are (tet, kind[, sign]) in index order and arc_classes lists,
-    per face class, the six (corner, sign) pairs in the labels of the
-    class representative.
-    """
-    t = tri.num_tets
-    oriented = [disc_of_index(i, True) for i in range(14 * t)]
-    unoriented = [disc_of_index(i, False) for i in range(7 * t)]
-    arcs = []
-    for (tet0, f0), _ in tri.face_classes:
-        arcs.append([(c, s) for c in FACE_CORNERS[f0] for s in (1, -1)])
-    return oriented, unoriented, arcs
-
-
 @dataclass
 class MatchingSystem:
     """Integer matching-equation matrix with its index maps.

@@ -318,19 +318,17 @@ class LpResult:
     "unbounded".  value, x and dual are exact Fractions.
 
     For optimal results x is a vertex witness, checked exactly against
-    x >= 0, the caller's rows and its upper bounds, and dual is a dual
-    certificate over the rows of the phase-1 tableau with the redundant
-    rows dropped, that is over B1^-1 A for the final phase-1 basis B1, not
-    over the caller's rows.  B1^-1 A does not change when a row of A is
-    scaled, so it is the same system for the integer-scaled rows that the
-    solver pivots on.  With c the maximized objective (its negation when
-    minimizing), y.(B1^-1 A) >= c and y.(B1^-1 b) = c.x are verified
-    exactly inside the solver, but a caller cannot check y against its own
-    system.  For infeasible results dual is a Farkas
-    certificate y, indexed over the equality rows and then the bound rows
-    that solve_lp appends: y.A >= 0 on every column of the standard-form
-    matrix A and y.b < 0, both verified exactly.  Unbounded results carry
-    neither."""
+    x >= 0 and the caller's rows, and dual is a dual certificate over the
+    rows of the phase-1 tableau with the redundant rows dropped, that is
+    over B1^-1 A for the final phase-1 basis B1, not over the caller's
+    rows.  B1^-1 A does not change when a row of A is scaled, so it is the
+    same system for the integer-scaled rows that the solver pivots on.
+    With c the maximized objective (its negation when minimizing),
+    y.(B1^-1 A) >= c and y.(B1^-1 b) = c.x are verified exactly inside the
+    solver, but a caller cannot check y against its own system.  For
+    infeasible results dual is a Farkas certificate y over the caller's
+    rows: y.A >= 0 on every column and y.b < 0, both verified exactly.
+    Unbounded results carry neither."""
 
     status: str
     value: Fraction = None
@@ -501,30 +499,25 @@ def _simplex_standard(a, b, c):
         Fraction(uk, den) for uk in u)
 
 
-def solve_lp(objective, equalities, upper=None, maximize=True):
-    """Exact LP over x >= 0: optimize objective.x subject to A x = rhs
-    and, when `upper` is given, x <= upper coordinatewise.
+def solve_lp(objective, equalities, maximize=True):
+    """Exact LP over x >= 0: optimize objective.x subject to A x = rhs.
 
-    equalities is (matrix, rhs); every entry of the objective, the matrix,
-    rhs and `upper` is an int or a Fraction, and anything else raises
-    TypeError before any work.  Each
-    upper bound u_j becomes the row x_j + s_j = u_j with its own slack
-    column s_j, after the equality rows and the variables; minimizing
-    maximizes -objective.x.  The simplex pivots on integers only: each row
-    is scaled to integers, and the tableau is kept fraction-free over one
-    shared denominator (_simplex_standard).  Rows of ints skip that
-    scaling, so a caller that solves many LPs on rational data scales it
-    to integers once.  Returns an
-    LpResult whose value and witness are exact rationals; infeasible and
-    unbounded are statuses, not exceptions.  An optimal result's witness
-    is checked exactly against x >= 0, the equalities and `upper` before
+    equalities is (matrix, rhs); every entry of the objective, the matrix
+    and rhs is an int or a Fraction, and anything else raises TypeError
+    before any work.  Minimizing maximizes -objective.x.  The simplex
+    pivots on integers only: each row is scaled to integers, and the
+    tableau is kept fraction-free over one shared denominator
+    (_simplex_standard).  Rows of ints skip that scaling, so a caller that
+    solves many LPs on rational data scales it to integers once.  Returns
+    an LpResult whose value and witness are exact rationals; infeasible
+    and unbounded are statuses, not exceptions.  An optimal result's
+    witness is checked exactly against x >= 0 and the equalities before
     it is returned, on its integer numerators over one common
-    denominator.  An infeasible result's dual is
-    a Farkas certificate over the equality rows, then the bound rows, in
-    that order; an optimal result's dual is over the rows of the phase-1
-    tableau with the redundant rows dropped, not over these rows (see
-    LpResult).  Raises ValueError when a row's length, the
-    number of right-hand sides or the length of `upper` does not match.
+    denominator.  An infeasible result's dual is a Farkas certificate over
+    the equality rows; an optimal result's dual is over the rows of the
+    phase-1 tableau with the redundant rows dropped, not over these rows
+    (see LpResult).  Raises ValueError when a row's length or the number
+    of right-hand sides does not match.
     """
     a, rhs = equalities
     n = len(objective)
@@ -533,33 +526,22 @@ def solve_lp(objective, equalities, upper=None, maximize=True):
     if len(rhs) != len(a):
         raise ValueError("%d right-hand sides for %d rows"
                          % (len(rhs), len(a)))
-    if upper is not None and len(upper) != n:
-        raise ValueError("%d upper bounds for %d variables"
-                         % (len(upper), n))
-    check_rational(objective, rhs, upper or (), *a)
+    check_rational(objective, rhs, *a)
     c = [Fraction(x) if maximize else -Fraction(x) for x in objective]
-    b = list(rhs)
-    if upper is not None:
-        unit = [[int(i == j) for i in range(n)] for j in range(n)]
-        a = [list(row) + [0] * n for row in a] + [e + e for e in unit]
-        b += list(upper)
-        c += [Fraction(0)] * n
-    status, value, x, y = _simplex_standard(a, b, c)
+    status, value, x, y = _simplex_standard(a, rhs, c)
     if status == "infeasible":
         return LpResult(status, dual=y)
     if status != "optimal":
         return LpResult(status)
-    # The witness over the standard form: x >= 0 with every row met, the
-    # bound rows x_j + s_j = u_j included, is x >= 0, A x = rhs and
-    # x <= upper for the caller's system.  It is checked on x's numerators
-    # over their common denominator den: A (den x) = den b.
+    # The witness is checked on x's numerators over their common
+    # denominator den: x >= 0 and A (den x) = den rhs.
     den, (xn,) = integer_numerators([x])
     support = [(j, xj) for j, xj in enumerate(xn) if xj]
     if any(xj < 0 for _, xj in support) or any(
             sum(row[j] * xj for j, xj in support) != bi * den
-            for row, bi in zip(a, b)):
+            for row, bi in zip(a, rhs)):
         raise ArithmeticError("primal witness violated")
-    return LpResult("optimal", value if maximize else -value, x[:n], y)
+    return LpResult("optimal", value if maximize else -value, x, y)
 
 
 # ---------------------------------------------------------------------------

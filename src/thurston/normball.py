@@ -22,8 +22,7 @@ from .linalg import (ConeDescription, enumerate_extreme_rays,
                      remove_redundant_points, rref, solve_lp)
 from .rat import (check_rational, dot, integer_numerators,
                   primitive_integer_vector)
-from .surfaces import (assign_transverse_orientation,
-                       is_algebraically_aspherical, reconstruct_surface)
+from .surfaces import assign_transverse_orientation, reconstruct_surface
 from .triangulation import is_simplicial
 
 
@@ -92,7 +91,8 @@ class Pipeline:
     unoriented cone enumerated with the quad-conflict filter, so its
     double description never builds an inadmissible ray; only
     `check_zero_efficiency` (the `efficiency` command and the warnings of
-    `ball`) uses it.
+    `ball`) uses it.  Those warnings check no B vertex on its own (see
+    `hypothesis_warnings`).
     """
 
     def __init__(self, tri):
@@ -216,8 +216,11 @@ class Pipeline:
         prescribed transverse orientation.
 
         Points are visited in increasing total weight, lexicographically
-        within each weight.  Returns a TautRepresentative or None.
+        within each weight.  Returns a TautRepresentative or None.  The
+        class's entries must be ints or Fractions (TypeError otherwise,
+        before the ball is built).
         """
+        check_rational(alpha)
         ball = self.norm_ball("strict")
         alpha = tuple(Fraction(a) for a in alpha)
         if len(alpha) != ball.b:
@@ -268,8 +271,9 @@ class Pipeline:
         spanning their row space: when the system is consistent, every
         other row's residual is the same combination of the kept rows'
         residuals at every node, so the feasible set is unchanged.  It
-        passes no upper bounds: the weight row (all ones, right-hand side
-        `w`) already bounds every remaining coordinate by the weight left.
+        needs no bound on a variable: the weight row (all ones, right-hand
+        side `w`) already bounds every remaining coordinate by the weight
+        left.
 
         A node at depth k hands its completion x, over columns k, k+1,
         ..., down to its children; `solve_lp` checks its witness exactly
@@ -396,7 +400,16 @@ class Pipeline:
                 "vertex_surfaces_checked": len(rays)}
 
     def hypothesis_warnings(self, ball):
-        """Deterministic warning list for a computed ball."""
+        """Deterministic warning list for a computed ball: a
+        non-vertex-linking normal sphere on a non-simplicial
+        triangulation, and each recession vertex with a nonzero class.
+
+        No B vertex is checked for algebraic asphericity, that is for a
+        cone point 0 <= y <= x with chi*(y) > 0.  Each B vertex x is a
+        scaled extreme ray of the oriented matching cone, and such a y has
+        support inside supp(x), so y = t x with 0 <= t <= 1: the maximum
+        of chi*(y) is 0, at y = 0, and the check cannot fail on a ball
+        that `norm_ball` builds."""
         warnings = []
         simplicial = is_simplicial(self.tri)
         efficiency = self.check_zero_efficiency()
@@ -405,12 +418,6 @@ class Pipeline:
                 "hypotheses unverified: triangulation is not simplicial and "
                 "a non-vertex-linking normal sphere exists among vertex "
                 "surfaces")
-        for i, w in enumerate(ball.B_vertices):
-            if not is_algebraically_aspherical(
-                    self.tri, NormalVector(w, True), self.matching_oriented):
-                warnings.append(
-                    "hypothesis warning: B vertex %d is not algebraically "
-                    "aspherical" % i)
         for i, cls in enumerate(ball.recession_classes):
             if any(x != 0 for x in cls):
                 warnings.append(

@@ -22,12 +22,10 @@ are the surface's vertices.
 
 from dataclasses import dataclass, field
 
-from .chi import chi_star_coefficients
 from .coords import (NormalVector, build_matching_system, conflicting_quads,
                      disc_edges, disc_index, forget_orientation, is_compatible,
                      quad_arc_sign_factor, quad_kind_for_arc, QUAD_PAIR,
                      TRI_KINDS)
-from .linalg import ConeDescription, is_extreme_ray, solve_lp
 from .triangulation import EDGE_INDEX, FACE_CORNERS
 
 
@@ -320,36 +318,6 @@ def assign_transverse_orientation(tri, surface, target):
     if search(0, zero):
         return list(chosen)
     return None
-
-
-def is_algebraically_aspherical(tri, x, matching=None):
-    """Decide that no coordinatewise smaller nonnegative solution of the
-    oriented matching equations has positive Euler characteristic, that
-    is, that max chi*(y) over the cone points 0 <= y <= x is at most 0.
-
-    When x spans an extreme ray of the cone (the matching rows restricted
-    to supp(x) have rank |supp(x)| - 1), every such y has support inside
-    supp(x), so it lies in the one-dimensional kernel of those restricted
-    rows: y = t x with 0 <= t <= 1.  The maximum is then max(0, chi*(x)),
-    and the answer is chi*(x) <= 0 with no LP.  Every other x gets the
-    LP."""
-    if not x.oriented:
-        raise ValueError("expected oriented coordinates")
-    if not x.is_nonnegative():
-        raise ValueError("not in the nonnegative cone")
-    if matching is None:
-        matching = build_matching_system(tri, oriented=True)
-    if not matching.is_in_kernel(x.coords):
-        raise ValueError("matching equations violated")
-    objective = chi_star_coefficients(tri, oriented=True)
-    if is_extreme_ray(ConeDescription(tuple(matching.rows), matching.num_cols),
-                      x.coords):
-        return sum(c * v for c, v in zip(objective, x.coords)) <= 0
-    rhs = [0] * len(matching.rows)
-    res = solve_lp(list(objective), (list(matching.rows), rhs), x.coords)
-    if not res.optimal:
-        raise ArithmeticError("bounded feasible LP reported %s" % res.status)
-    return res.value <= 0
 
 
 def add_compatible(x, y):

@@ -5,7 +5,6 @@ import pytest
 
 from thurston.coords import (
     NormalVector, build_matching_system, disc_index, disc_of_index,
-    enumerate_disc_types,
     forget_orientation, is_admissible, is_compatible, num_coords,
     quad_conflict_test, reverse_orientation, vertex_linking_vector,
     quad_kind_separating, QUAD_PAIR, QUAD_OPP,
@@ -17,14 +16,6 @@ from thurston.fixtures import load
 @pytest.fixture(scope="module")
 def d2():
     return load("d2")
-
-
-def test_disc_type_counts(d2):
-    oriented, unoriented, arcs = enumerate_disc_types(d2)
-    assert len(oriented) == 28
-    assert len(unoriented) == 14
-    assert len(arcs) == 4
-    assert all(len(a) == 6 for a in arcs)
 
 
 def test_quad_kind_separating_consistency():

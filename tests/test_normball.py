@@ -6,24 +6,23 @@ import textwrap
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 
 import pytest
 
 import thurston
 import thurston.linalg as linalg
 import thurston.normball as normball
-import thurston.surfaces as surfaces
 from thurston.chi import chi_star
 from thurston.coords import NormalVector, forget_orientation, \
     is_admissible, quad_conflict_test, vertex_linking_vector
 from thurston.fixtures import load, names
-from thurston.linalg import (ConeDescription, enumerate_extreme_rays,
-                             is_extreme_ray, remove_redundant_points, solve_lp)
+from thurston.linalg import (enumerate_extreme_rays, is_extreme_ray,
+                             remove_redundant_points, solve_lp)
 from thurston.normball import (DegenerateNormBall, NormBall, NormBallError,
                                Pipeline, evaluate_norm)
-from thurston.surfaces import is_algebraically_aspherical
 from thurston.triangulation import triangulation_from_json
+
+from test_linalg import bounded_lp
 
 # Every (fixture, theory) whose full double description finishes within a
 # second: the oriented three_tet cone takes about 40 s.
@@ -121,14 +120,24 @@ def test_evaluate_norm_dimension_checks():
         evaluate_norm(le_ball, (1,))
 
 
-@pytest.mark.parametrize("cls", [(0.1,), (True,), ("1",), (1.0,)])
-def test_evaluate_norm_rejects_non_rational_class(cls):
+@pytest.mark.parametrize("cls", [(0.1,), (True,), ("1",), (1.0,), (0.0,)])
+def test_evaluate_norm_rejects_non_rational_class(monkeypatch, b1_pipe, cls):
     """On the ball {-1, 1}, (0.1,) used to give
-    3602879701896397/36028797018963968 and (True,) gave 1."""
+    3602879701896397/36028797018963968 and (True,) gave 1.  The taut
+    representative search rejects the same classes before it builds the
+    ball: on two_tet_b1, (0.0,) used to give the zero representative, and
+    (True,) and (1.0,) ran the norm LP."""
     with pytest.raises(TypeError):
         evaluate_norm(_segment_ball(1), cls)
     assert evaluate_norm(_segment_ball(1), (Fraction(1, 10),)) == \
         Fraction(1, 10)
+
+    def unreachable(variant):
+        raise AssertionError("the ball was built for a non-rational class")
+
+    monkeypatch.setattr(b1_pipe, "norm_ball", unreachable)
+    with pytest.raises(TypeError):
+        b1_pipe.find_taut_representative(cls, 1)
 
 
 def test_evaluate_norm_outside_cone():
@@ -353,14 +362,6 @@ def test_hypothesis_warnings_on_d2(d2_pipe):
     assert any("non-vertex-linking" in w for w in warnings)
 
 
-def test_hypothesis_warning_flags_nonaspherical_vertex(d2_pipe):
-    link = vertex_linking_vector(d2_pipe.tri, 0, 1, True)
-    fake = d2_pipe.norm_ball("strict")
-    fake.B_vertices = [link.coords]
-    warnings = d2_pipe.hypothesis_warnings(fake)
-    assert any("not algebraically aspherical" in w for w in warnings)
-
-
 # two_tet_b1 after one seeded 2-3 move (perfbench/moves.py, `grow` with
 # seed "1/two_tet_b1"): three tetrahedra, and the first input here whose
 # B is nonempty.
@@ -389,60 +390,17 @@ def test_asphericity_lp_is_zero_on_B_vertices(grown_pipe):
     """Each B vertex x is a scaled extreme ray of the oriented cone, so a
     cone point y with 0 <= y <= x has support inside supp(x) and is a
     multiple of x.  Maximizing the Euler functional over those y on the
-    oriented matching rows therefore gives exactly 0, at y = 0."""
+    oriented matching rows therefore gives exactly 0, at y = 0: this is
+    why `hypothesis_warnings` checks no B vertex for asphericity."""
     rows = [list(r) for r in grown_pipe.matching_oriented.rows]
     bverts = grown_pipe.norm_ball("strict").B_vertices
     assert bverts
+    cone = grown_pipe._cone(True)
     for x in bverts:
-        res = solve_lp(list(grown_pipe.chi_coeffs), (rows, [0] * len(rows)),
-                       x)
+        assert is_extreme_ray(cone, x)
+        res = solve_lp(*bounded_lp(list(grown_pipe.chi_coeffs), rows,
+                                   [0] * len(rows), x))
         assert res.optimal and res.value == 0
-
-
-def test_asphericity_shortcut_agrees_with_lp(monkeypatch, d2_pipe,
-                                            grown_pipe):
-    """On an extreme ray, is_algebraically_aspherical answers
-    chi*(x) <= 0 with no LP; on any other x it solves the LP.  Both paths
-    agree with the LP solved directly, and each gives both answers.  The
-    extreme cases: the grown two_tet_b1's B vertices (chi* = -1), a
-    chi* = 0 ray of two_tet_b1, and d2's rays (chi* > 0).  The others:
-    sums of two of those rays, and a B vertex plus a vertex-linking
-    sphere scaled to chi* = 1/2, whose chi* is negative but which holds
-    the sphere."""
-    lps = _counting_solve_lp(monkeypatch, surfaces)
-    b1_pipe = _pipe("two_tet_b1")
-    flat = next(r.coords for r in b1_pipe.oriented_rays
-                if chi_star(b1_pipe.tri, NormalVector(r.coords, True)) == 0)
-    bverts = grown_pipe.norm_ball("strict").B_vertices[:2]
-    link = vertex_linking_vector(grown_pipe.tri, 0, 1, True)
-    t = Fraction(1, 2) / chi_star(grown_pipe.tri, link)
-    mixed = tuple(a + t * b for a, b in zip(bverts[0], link.coords))
-    d2_rays = [r.coords for r in d2_pipe.oriented_rays[:3]]
-
-    def sums(xs):
-        return [tuple(a + b for a, b in zip(x, y))
-                for x, y in combinations(xs, 2)]
-
-    cases = ([(grown_pipe, x, True) for x in bverts]
-             + [(b1_pipe, flat, True)]
-             + [(d2_pipe, x, True) for x in d2_rays]
-             + [(grown_pipe, x, False) for x in sums(bverts) + [mixed]]
-             + [(d2_pipe, x, False) for x in sums(d2_rays)])
-    seen = Counter()
-    for pipe, x, on_ray in cases:
-        matching = pipe.matching_oriented
-        cone = ConeDescription(tuple(matching.rows), matching.num_cols)
-        assert is_extreme_ray(cone, x) == on_ray
-        del lps[:]
-        got = is_algebraically_aspherical(
-            pipe.tri, NormalVector(x, True), matching)
-        assert len(lps) == (0 if on_ray else 1)
-        rows = [list(r) for r in matching.rows]
-        res = solve_lp(list(pipe.chi_coeffs), (rows, [0] * len(rows)), x)
-        assert got == (res.value <= 0)
-        seen[on_ray, got] += 1
-    assert seen == {(True, True): 3, (True, False): 3, (False, True): 1,
-                    (False, False): 4}
 
 
 @pytest.mark.parametrize("name,oriented", FULL_CONES)
@@ -513,7 +471,6 @@ def test_input_checks_survive_optimize():
         from thurston.normball import Pipeline
         from thurston.rat import dot
         from thurston.surfaces import (assign_transverse_orientation,
-                                       is_algebraically_aspherical,
                                        reconstruct_surface)
 
         tri = load("two_tet_b1")
@@ -533,8 +490,6 @@ def test_input_checks_survive_optimize():
                 build_matching_system(tri, False), u),
             "assign_transverse_orientation":
                 lambda: assign_transverse_orientation(one, surface, u),
-            "is_algebraically_aspherical":
-                lambda: is_algebraically_aspherical(tri, u),
             "build_B": lambda: Pipeline(tri).build_B("bogus"),
             "dot": lambda: dot((1, 2), (1,)),
         }

@@ -14,7 +14,6 @@ from thurston.fixtures import load, names
 from thurston.normball import Pipeline
 from thurston.surfaces import (NormalSurface, SurfaceComponent,
                                add_compatible, assign_transverse_orientation,
-                               is_algebraically_aspherical,
                                reconstruct_surface)
 from thurston.triangulation import (EDGE_INDEX, FACE_CORNERS,
                                     triangulation_from_json)
@@ -135,14 +134,6 @@ def test_assign_requires_matching_projection(d2):
     wrong = vertex_linking_vector(d2, 1, 1, True)
     with pytest.raises(ValueError, match="project"):
         assign_transverse_orientation(d2, s, wrong)
-
-
-def test_aspherical_basics(d2):
-    zero = NormalVector((0,) * 28, True)
-    assert is_algebraically_aspherical(d2, zero)
-    link = vertex_linking_vector(d2, 0, 1, True)
-    assert not is_algebraically_aspherical(d2, link)
-    assert not is_algebraically_aspherical(d2, link.scale(Fraction(2, 5)))
 
 
 def test_add_compatible_rules(d2):
