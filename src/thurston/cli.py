@@ -156,7 +156,7 @@ def cmd_surface(args):
         if not isinstance(obj, dict):
             raise ValueError("expected a JSON object")
         x = NormalVector.from_json_obj(obj)
-    except (AttributeError, KeyError, TypeError, ValueError,
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError,
             ZeroDivisionError) as e:
         raise CliError("bad-coords", "cannot parse coordinates: %s" % e)
     if len(x.coords) != num_coords(tri.num_tets, x.oriented):

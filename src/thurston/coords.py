@@ -140,20 +140,26 @@ class NormalVector:
 class MatchingSystem:
     """Integer matching-equation matrix with its index maps.
 
-    rows[r] is a tuple of length num_coords, one per arc class and (in
-    the oriented theory) transverse orientation.
+    One row per arc class and (in the oriented theory) transverse
+    orientation.  The rows are stored sparse: sparse_rows[r] holds the
+    (column, coefficient) pairs of row r with nonzero coefficient, by
+    increasing column, at most four against 7t or 14t columns.  rows[r],
+    the dense tuple of length num_cols, is built on first use.
     """
 
-    rows: list
+    sparse_rows: list
     oriented: bool
     num_cols: int
 
     @cached_property
-    def sparse_rows(self):
-        """Each row as its (column, coefficient) pairs with nonzero
-        coefficient: four per row, against 7t or 14t columns."""
-        return [tuple((j, a) for j, a in enumerate(row) if a)
-                for row in self.rows]
+    def rows(self):
+        dense = []
+        for sparse in self.sparse_rows:
+            row = [0] * self.num_cols
+            for j, a in sparse:
+                row[j] = a
+            dense.append(tuple(row))
+        return dense
 
     def is_in_kernel(self, coords):
         """Exact membership of a rational vector.  The kernel is a linear
@@ -180,15 +186,30 @@ def arc_disc_columns(tet, face, corner, sign, oriented):
     return tri_col, quad_col
 
 
+# Per theory, the arc_disc_columns of tetrahedron 0 keyed by (face,
+# corner, sign): the offsets of the two columns in any tetrahedron's block.
+_ARC_OFFSETS = {
+    oriented: {(f, c, s): arc_disc_columns(0, f, c, s, oriented)
+               for f in range(4) for c in FACE_CORNERS[f]
+               for s in ((1, -1) if oriented else (1,))}
+    for oriented in (True, False)}
+
+
 def build_matching_system(tri, oriented=True):
     """One equation per (un)oriented arc class per face class.
 
     The side of a face class owned by the lexicographically larger
     (tet, face) embedding is the + side; the equation is
-    (discs on - side) - (discs on + side) = 0.
+    (discs on - side) - (discs on + side) = 0.  Each side meets one
+    triangle and one quad column, the triangle's first; when both sides
+    lie in one tetrahedron a column can meet both, and its coefficient
+    1 - 1 = 0 drops out of the sparse row.
     """
     t = tri.num_tets
     n = num_coords(t, oriented)
+    block = num_coords(1, oriented)
+    offsets = _ARC_OFFSETS[oriented]
+    signs = (1, -1) if oriented else (1,)
     rows = []
     for fc, ((tet_m, f_m), (tet_p, f_p)) in enumerate(tri.face_classes):
         # Embeddings are stored sorted, so the first is the - side.  The
@@ -198,18 +219,21 @@ def build_matching_system(tri, oriented=True):
         if (g.tet, g.perm[f_m]) != (tet_p, f_p):
             raise ArithmeticError("face class %d does not match its gluing"
                                   % fc)
-        signs = (1, -1) if oriented else (1,)
+        base_m, base_p = block * tet_m, block * tet_p
         for corner in FACE_CORNERS[f_m]:
             for s in signs:
-                row = [0] * n
-                cols_m = arc_disc_columns(tet_m, f_m, corner, s, oriented)
-                cols_p = arc_disc_columns(
-                    tet_p, f_p, g.perm[corner], s, oriented)
-                for c in cols_m:
-                    row[c] += 1
-                for c in cols_p:
-                    row[c] -= 1
-                rows.append(tuple(row))
+                m1, m2 = offsets[f_m, corner, s]
+                p1, p2 = offsets[f_p, g.perm[corner], s]
+                if tet_m != tet_p:
+                    # The - side's columns all precede the + side's.
+                    rows.append(((base_m + m1, 1), (base_m + m2, 1),
+                                 (base_p + p1, -1), (base_p + p2, -1)))
+                    continue
+                row = {m1: 1, m2: 1}
+                row[p1] = row.get(p1, 0) - 1
+                row[p2] = row.get(p2, 0) - 1
+                rows.append(tuple((base_m + j, a)
+                                  for j, a in sorted(row.items()) if a))
     return MatchingSystem(rows, oriented, n)
 
 

@@ -17,6 +17,7 @@ decided here.
 """
 
 import json
+from itertools import permutations
 
 # The six edges of a tetrahedron, as ordered pairs a < b; the edge index of
 # {a, b} is EDGE_INDEX[a, b].  Face i is opposite vertex i; its corners are
@@ -28,23 +29,37 @@ for _i, (_a, _b) in enumerate(EDGES):
     EDGE_INDEX[(_b, _a)] = _i
 FACE_CORNERS = tuple(tuple(v for v in range(4) if v != f) for f in range(4))
 
-_EVEN_PERMS = {
-    (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2),
-    (1, 0, 3, 2), (1, 2, 0, 3), (1, 3, 2, 0),
-    (2, 0, 1, 3), (2, 1, 3, 0), (2, 3, 0, 1),
-    (3, 0, 2, 1), (3, 1, 0, 2), (3, 2, 1, 0),
-}
+# Integer ids: corner (tet, v) is 4 * tet + v and directed edge (tet, (a, b))
+# is 12 * tet + _PAIR_ID[a, b], the pairs a != b in lexicographic order, so
+# the id order is the lexicographic order of the items.
+_PAIRS = tuple((a, b) for a in range(4) for b in range(4) if a != b)
+_PAIR_ID = {pair: i for i, pair in enumerate(_PAIRS)}
+# Per face, the directed edges avoiding its opposite vertex: the ones a
+# gluing of that face carries across.
+_FACE_PAIRS = tuple(tuple(i for i, pair in enumerate(_PAIRS) if f not in pair)
+                    for f in range(4))
+# Per undirected edge index, the ids of its two directions (a < b first).
+_EDGE_PAIRS = tuple((_PAIR_ID[a, b], _PAIR_ID[b, a]) for a, b in EDGES)
+
+
+def _perm_entry(perm):
+    inverse = tuple(perm.index(v) for v in range(4))
+    inversions = sum(perm[i] > perm[j] for i in range(4)
+                     for j in range(i + 1, 4))
+    image = tuple(_PAIR_ID[perm[a], perm[b]] for a, b in _PAIRS)
+    return perm, inverse, -1 if inversions % 2 else 1, image
+
+
+# Per permutation string: (tuple, inverse tuple, sign, directed-edge image
+# image[p] = id of (perm[a], perm[b]) for the pair p = (a, b)), and the
+# same entries keyed by the tuple.
+_PERMS = {"".join(map(str, p)): _perm_entry(p)
+          for p in permutations(range(4))}
+_PERM_ENTRY = {entry[0]: entry for entry in _PERMS.values()}
 
 
 def perm_sign(perm):
-    return 1 if tuple(perm) in _EVEN_PERMS else -1
-
-
-def perm_inverse(perm):
-    inv = [0] * 4
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
+    return _PERM_ENTRY[tuple(perm)][2]
 
 
 class TriangulationError(ValueError):
@@ -82,10 +97,8 @@ class Triangulation:
     """Tetrahedra with gluings, plus the derived skeleton once computed.
 
     Fields filled in stages: parse_triangulation sets .gluings only;
-    validate_and_orient adds .tet_signs and caches the vertex and directed
-    edge orbits, which compute_skeleton reuses; compute_skeleton adds the
-    vertex/edge/face classes and edge degrees.  After compute_skeleton the
-    object is treated as immutable and is safe to share between threads.
+    validate_and_orient adds .tet_signs; compute_skeleton adds the
+    vertex/edge/face classes and edge degrees.
     """
 
     def __init__(self, gluings):
@@ -99,7 +112,7 @@ class Triangulation:
         self.degrees = None               # per edge class, number of corners
         self.face_class = None            # (tet, face) -> class index
         self.face_classes = None          # list of ((tet, face), (tet, face))
-        self._orbits = {}                 # orbit function -> its result
+        self._roots = None                # see _orbit_roots
 
     @property
     def num_tets(self):
@@ -113,11 +126,13 @@ def parse_triangulation(text):
     """Parse the JSON gluing-file format into a Triangulation.
 
     Only syntax, index bounds and bijectivity of permutations are checked
-    here; geometric validity is the job of validate_and_orient.
+    here; geometric validity is the job of validate_and_orient.  JSON too
+    deeply nested for the decoder, or with an integer too long to convert,
+    is malformed JSON too.
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (RecursionError, ValueError) as e:
         raise TriangulationError("malformed JSON: %s" % e) from None
     if not isinstance(data, dict) or "tets" not in data:
         raise TriangulationError('missing "tets" key')
@@ -137,49 +152,46 @@ def parse_triangulation(text):
                 raise TriangulationError(
                     "tet %d face %d: expected [target, perm]" % (k, f))
             tgt, perm_str = item
-            if not isinstance(tgt, int) or isinstance(tgt, bool) \
-                    or not 0 <= tgt < t:
+            if type(tgt) is not int or not 0 <= tgt < t:
                 raise TriangulationError(
                     "tet %d face %d: target index out of range" % (k, f))
-            if not isinstance(perm_str, str) or len(perm_str) != 4 \
-                    or not set(perm_str) <= set("0123"):
-                raise TriangulationError(
-                    "tet %d face %d: perm must be 4 digits 0-3" % (k, f))
-            perm = tuple(int(c) for c in perm_str)
-            if len(set(perm)) != 4:
+            entry = _PERMS.get(perm_str) if type(perm_str) is str else None
+            if entry is None:
+                if type(perm_str) is not str or len(perm_str) != 4 \
+                        or not set(perm_str) <= set("0123"):
+                    raise TriangulationError(
+                        "tet %d face %d: perm must be 4 digits 0-3" % (k, f))
                 raise TriangulationError(
                     "tet %d face %d: permutation is not a bijection" % (k, f))
-            faces.append(Gluing(tgt, perm))
+            faces.append(Gluing(tgt, entry[0]))
         gluings.append(faces)
     return Triangulation(gluings)
 
 
 def _check_involution(tri, report):
-    for tet in range(tri.num_tets):
-        for face in range(4):
-            g = tri.gluings[tet][face]
+    gluings = tri.gluings
+    for tet, row in enumerate(gluings):
+        for face, g in enumerate(row):
             tgt_face = g.perm[face]
             if g.tet == tet and tgt_face == face:
                 report.append("tet %d face %d is glued to itself" % (tet, face))
                 continue
-            back = tri.gluings[g.tet][tgt_face]
-            if back.tet != tet or back.perm != perm_inverse(g.perm):
+            back = gluings[g.tet][tgt_face]
+            if back.tet != tet or back.perm != _PERM_ENTRY[g.perm][1]:
                 report.append(
                     "gluing of tet %d face %d is not involutive" % (tet, face))
 
 
 def _check_orientation(tri, report):
-    """Propagate tetrahedron signs; a gluing between tets of signs s, s'
-    is orientation-compatible when s * s' * sign(perm) = -1."""
-    t = tri.num_tets
-    signs = [0] * t
+    """Propagate tetrahedron signs breadth first from tetrahedron 0; a
+    gluing between tets of signs s, s' is orientation-compatible when
+    s * s' * sign(perm) = -1."""
+    signs = [0] * tri.num_tets
     signs[0] = 1
     queue = [0]
-    while queue:
-        tet = queue.pop(0)
-        for face in range(4):
-            g = tri.gluings[tet][face]
-            want = -signs[tet] * perm_sign(g.perm)
+    for tet in queue:
+        for face, g in enumerate(tri.gluings[tet]):
+            want = -signs[tet] * _PERM_ENTRY[g.perm][2]
             if signs[g.tet] == 0:
                 signs[g.tet] = want
                 queue.append(g.tet)
@@ -194,70 +206,50 @@ def _check_orientation(tri, report):
     return signs
 
 
-def _corner_orbits(items, neighbours):
-    """Partition `items` into orbits under the gluing maps, numbering the
-    classes by their smallest member in lexicographic order."""
-    items = sorted(items)
-    cls = {}
-    classes = []
-    for seed in items:
-        if seed in cls:
-            continue
-        idx = len(classes)
-        orbit = [seed]
-        cls[seed] = idx
-        pos = 0
-        while pos < len(orbit):
-            cur = orbit[pos]
-            pos += 1
-            for nxt in neighbours(cur):
-                if nxt not in cls:
-                    cls[nxt] = idx
-                    orbit.append(nxt)
-        classes.append(sorted(orbit))
-    return cls, classes
+def _orbit_roots(tri):
+    """Per corner id and per directed-edge id, the smallest id of its
+    orbit under the gluing maps: (corner roots, directed-edge roots).
 
+    One union-find pass over the face gluings, each face pair taken once
+    from its smaller side, which covers every gluing map when the gluings
+    are involutive.  A root is always the smallest member of its set and a
+    parent never exceeds its child, so one ascending sweep resolves every
+    id to its root.  Computed once per triangulation: validation and the
+    skeleton share it.
+    """
+    if tri._roots is not None:
+        return tri._roots
+    t = tri.num_tets
+    corner = list(range(4 * t))
+    edge = list(range(12 * t))
 
-def _vertex_orbits(tri):
-    """Orbits of tetrahedron corners (tet, v): the vertex classes."""
-    def neighbours(item):
-        tet, v = item
-        out = []
-        for f in range(4):
-            if f != v:
-                g = tri.gluings[tet][f]
-                out.append((g.tet, g.perm[v]))
-        return out
+    def union(parent, x, y):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
 
-    corners = [(tet, v) for tet in range(tri.num_tets) for v in range(4)]
-    return _corner_orbits(corners, neighbours)
-
-
-def _edge_orbits_directed(tri):
-    """Orbits of directed edges (tet, (a, b)); used to orient edge classes
-    and to reject edges identified with themselves in reverse."""
-    def neighbours(item):
-        tet, (a, b) = item
-        out = []
-        for f in range(4):
-            if f != a and f != b:
-                g = tri.gluings[tet][f]
-                out.append((g.tet, (g.perm[a], g.perm[b])))
-        return out
-
-    items = [(tet, (a, b)) for tet in range(tri.num_tets)
-             for (a, b) in EDGES] + \
-            [(tet, (b, a)) for tet in range(tri.num_tets)
-             for (a, b) in EDGES]
-    return _corner_orbits(items, neighbours)
-
-
-def _cached_orbits(tri, orbits):
-    """`orbits(tri)`, computed once per triangulation: validation and the
-    skeleton share the vertex and directed-edge orbits."""
-    if orbits not in tri._orbits:
-        tri._orbits[orbits] = orbits(tri)
-    return tri._orbits[orbits]
+    for tet, row in enumerate(tri.gluings):
+        for face, g in enumerate(row):
+            perm, _, _, image = _PERM_ENTRY[g.perm]
+            other = g.tet
+            if (other, perm[face]) < (tet, face):
+                continue
+            c, c2 = 4 * tet, 4 * other
+            for v in FACE_CORNERS[face]:
+                union(corner, c + v, c2 + perm[v])
+            e, e2 = 12 * tet, 12 * other
+            for p in _FACE_PAIRS[face]:
+                union(edge, e + p, e2 + image[p])
+    for parent in (corner, edge):
+        for x in range(len(parent)):
+            parent[x] = parent[parent[x]]
+    tri._roots = corner, edge
+    return tri._roots
 
 
 def validate_and_orient(tri):
@@ -277,53 +269,47 @@ def validate_and_orient(tri):
 
     # An edge identified with itself in reverse makes the space a
     # non-manifold along that edge.
-    dir_cls, _ = _cached_orbits(tri, _edge_orbits_directed)
+    corner_root, edge_root = _orbit_roots(tri)
     for tet in range(tri.num_tets):
-        for (a, b) in EDGES:
-            if dir_cls[(tet, (a, b))] == dir_cls[(tet, (b, a))]:
+        for (a, b), (fwd, bwd) in zip(EDGES, _EDGE_PAIRS):
+            if edge_root[12 * tet + fwd] == edge_root[12 * tet + bwd]:
                 report.append(
                     "edge %s of tet %d is identified with itself in reverse"
                     % ((a, b), tet))
                 raise InvalidTriangulation(report)
 
-    _check_vertex_links(tri, report)
+    _check_vertex_links(corner_root, edge_root, report)
     if report:
         raise InvalidTriangulation(report)
     return tri
 
 
-def _check_vertex_links(tri, report):
+def _check_vertex_links(corner_root, edge_root, report):
     """Euler characteristic of every vertex link must be 2.
 
     The link of a vertex class is a closed surface built from one triangle
     per corner (tet, v) in the class; its edges are the corner triples
-    (tet, v, f) paired across face gluings, and its vertices are the orbits
-    of (tet, v, w) for edges {v, w}, so chi = V - 3F/2 + F.
+    (tet, v, f) paired across face gluings, so chi = V - 3F/2 + F.  Its
+    vertices are the orbits of (tet, v, w) for edges {v, w}, where a
+    gluing of face f, f not in {v, w}, sends (tet, v, w) to
+    (tet', perm[v], perm[w]).  That is exactly how it sends the directed
+    edge (tet, (v, w)), across the same faces, so the link vertices are
+    the directed-edge orbits, each in the link of its tail's class.
     """
-    _, vclasses = _cached_orbits(tri, _vertex_orbits)
+    faces = {}                    # corner root -> corners, in class order
+    for root in corner_root:
+        faces[root] = faces.get(root, 0) + 1
+    verts = dict.fromkeys(faces, 0)
+    for e, root in enumerate(edge_root):
+        if e == root:
+            tet, p = divmod(e, 12)
+            verts[corner_root[4 * tet + _PAIRS[p][0]]] += 1
 
-    def linkvert_neighbours(item):
-        tet, v, w = item
-        out = []
-        for f in range(4):
-            if f != v and f != w:
-                g = tri.gluings[tet][f]
-                out.append((g.tet, g.perm[v], g.perm[w]))
-        return out
-
-    linkverts = [(tet, v, w) for tet in range(tri.num_tets)
-                 for v in range(4) for w in range(4) if v != w]
-    _, lv_classes = _corner_orbits(linkverts, linkvert_neighbours)
-
-    for i, cls in enumerate(vclasses):
-        faces = len(cls)
-        if (3 * faces) % 2 != 0:
+    for i, (root, count) in enumerate(faces.items()):
+        if (3 * count) % 2 != 0:
             report.append("vertex class %d: odd link edge count" % i)
             continue
-        corner_set = set(cls)
-        verts = sum(1 for orbit in lv_classes
-                    if (orbit[0][0], orbit[0][1]) in corner_set)
-        chi = verts - 3 * faces // 2 + faces
+        chi = verts[root] - 3 * count // 2 + count
         if chi != 2:
             report.append(
                 "vertex class %d link has Euler characteristic %d, not 2"
@@ -335,46 +321,54 @@ def compute_skeleton(tri):
     direction for every edge class.  Classes are numbered by their smallest
     (tet, index) representative; an edge class is directed by the ordered
     pair of its representative (EDGES pairs are increasing)."""
-    tri.vertex_class, tri.vertex_classes = _cached_orbits(
-        tri, _vertex_orbits)
+    corner_root, edge_root = _orbit_roots(tri)
+    tri.vertex_class = {}
+    tri.vertex_classes = []
+    vertex_index = {}             # corner root -> class index
+    for x, root in enumerate(corner_root):
+        corner = divmod(x, 4)
+        if x == root:
+            vertex_index[root] = len(tri.vertex_classes)
+            tri.vertex_classes.append([])
+        tri.vertex_class[corner] = vertex_index[root]
+        tri.vertex_classes[vertex_index[root]].append(corner)
 
-    dir_cls, dir_classes = _cached_orbits(tri, _edge_orbits_directed)
-    # Undirected classes keyed by (tet, edge index), ordered by smallest
-    # member; the directed orbit of the representative fixes the direction.
-    und_items = sorted((tet, EDGE_INDEX[pair])
-                       for tet in range(tri.num_tets) for pair in EDGES)
+    # The representative's directed orbit fixes the class direction: +1
+    # when the class direction traverses an edge from its smaller to its
+    # larger vertex label.
     tri.edge_class = {}
     tri.edge_classes = []
     tri.edge_direction = {}
-    for tet, ei in und_items:
-        if (tet, ei) in tri.edge_class:
-            continue
-        a, b = EDGES[ei]
-        fwd = dir_cls[(tet, (a, b))]
-        idx = len(tri.edge_classes)
-        members = []
-        for tet2, (p, q) in dir_classes[fwd]:
-            ei2 = EDGE_INDEX[(p, q)]
-            if (tet2, ei2) in tri.edge_direction:
-                continue
-            tri.edge_class[(tet2, ei2)] = idx
-            # +1 when the class direction traverses this edge from its
-            # smaller to its larger vertex label.
-            tri.edge_direction[(tet2, ei2)] = 1 if p < q else -1
-            members.append((tet2, ei2))
-        tri.edge_classes.append(sorted(members))
+    edge_index = {}               # representative's directed root -> class
+    for tet in range(tri.num_tets):
+        for ei, (fwd, bwd) in enumerate(_EDGE_PAIRS):
+            root = edge_root[12 * tet + fwd]
+            idx, direction = edge_index.get(root), 1
+            if idx is None:
+                idx, direction = edge_index.get(edge_root[12 * tet + bwd]), -1
+            if idx is None:
+                idx = edge_index[root] = len(tri.edge_classes)
+                direction = 1
+                tri.edge_classes.append([])
+            tri.edge_class[tet, ei] = idx
+            tri.edge_direction[tet, ei] = direction
+            tri.edge_classes[idx].append((tet, ei))
     tri.degrees = tuple(len(m) for m in tri.edge_classes)
 
-    def face_neighbours(item):
-        tet, f = item
-        g = tri.gluings[tet][f]
-        return [(g.tet, g.perm[f])]
-
-    faces = [(tet, f) for tet in range(tri.num_tets) for f in range(4)]
-    tri.face_class, fclasses = _corner_orbits(faces, face_neighbours)
-    if any(len(pair) != 2 for pair in fclasses):
-        raise ArithmeticError("face class must have exactly two embeddings")
-    tri.face_classes = [tuple(pair) for pair in fclasses]
+    tri.face_class = {}
+    tri.face_classes = []
+    for tet, row in enumerate(tri.gluings):
+        for f, g in enumerate(row):
+            if (tet, f) in tri.face_class:
+                continue
+            mate = g.tet, g.perm[f]
+            back = tri.gluings[g.tet][g.perm[f]]
+            if mate == (tet, f) or (back.tet, back.perm[mate[1]]) != (tet, f):
+                raise ArithmeticError(
+                    "face class must have exactly two embeddings")
+            tri.face_class[tet, f] = tri.face_class[mate] = \
+                len(tri.face_classes)
+            tri.face_classes.append(((tet, f), mate))
     return tri
 
 

@@ -69,6 +69,21 @@ def test_parse_error_exit_1(tmp_path, capsys):
     assert json.loads(out)["error"]["code"] == "parse-error"
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 200000, id="deeply-nested"),
+    pytest.param('{"tets": [[[1%s, "0123"]]]}' % ("0" * 5000),
+                 id="integer-over-4300-digits"),
+])
+def test_undecodable_json_is_parse_error(tmp_path, capsys, text):
+    """JSON the decoder gives up on (a RecursionError, or a ValueError
+    from int conversion) is a parse-error, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out = _run(capsys, ["validate", str(bad)])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "parse-error"
+
+
 def test_non_utf8_file_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe")
@@ -257,6 +272,7 @@ def test_surface_bad_coords(paths, capsys):
     pytest.param(json.dumps({"oriented": False,
                              "coords": ["1/\u0661"] * 14}),
                  id="non-ascii-denominator"),
+    pytest.param("[" * 100000, id="deeply-nested"),
 ])
 def test_surface_malformed_coords(paths, capsys, payload):
     code, out = _run(capsys, ["surface", paths["d2"], "--coords", payload])

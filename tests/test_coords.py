@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from thurston.coords import (
-    NormalVector, build_matching_system, disc_index, disc_of_index,
+    NormalVector, arc_disc_columns, build_matching_system, disc_index, disc_of_index,
     forget_orientation, is_admissible, is_compatible, num_coords,
     quad_conflict_test, reverse_orientation, vertex_linking_vector,
     quad_kind_separating, QUAD_PAIR, QUAD_OPP,
 )
 from thurston.linalg import nullspace
 from thurston.fixtures import load
+from thurston.triangulation import FACE_CORNERS, triangulation_from_json
+
+from test_triangulation import load_corpus
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +49,49 @@ def test_column_side_counts(d2):
         tet, kind, s = disc_of_index(col)
         hits = sum(1 for row in m.rows if row[col] != 0)
         assert hits == (3 if kind < 4 else 4)
+
+
+def _reference_dense_rows(tri, oriented):
+    """The matching rows as first built: a dense row per equation, +1 per
+    disc on the - side and -1 per disc on the + side."""
+    n = num_coords(tri.num_tets, oriented)
+    rows = []
+    for (tet_m, f_m), (tet_p, f_p) in tri.face_classes:
+        perm = tri.gluings[tet_m][f_m].perm
+        for corner in FACE_CORNERS[f_m]:
+            for s in ((1, -1) if oriented else (1,)):
+                row = [0] * n
+                for c in arc_disc_columns(tet_m, f_m, corner, s, oriented):
+                    row[c] += 1
+                for c in arc_disc_columns(tet_p, f_p, perm[corner], s,
+                                          oriented):
+                    row[c] -= 1
+                rows.append(tuple(row))
+    return rows
+
+
+def test_sparse_rows_are_the_dense_nonzeros():
+    """The sparse rows, built directly, are the nonzero entries of the
+    reference dense rows by increasing column, row for row, and the dense
+    rows built from them are the reference's, in both theories, on every
+    valid table of the load's differential corpus.  Some of those tables
+    glue a tetrahedron to itself so that one column lies on both sides of
+    an equation, where its coefficients cancel and it is dropped."""
+    cancelled = 0
+    for text in load_corpus():
+        try:
+            tri = triangulation_from_json(text)
+        except ValueError:
+            continue
+        for oriented in (True, False):
+            m = build_matching_system(tri, oriented)
+            want = _reference_dense_rows(tri, oriented)
+            assert m.sparse_rows == [
+                tuple((j, a) for j, a in enumerate(row) if a)
+                for row in want], text
+            assert m.rows == want, text
+            cancelled += sum(1 for row in m.sparse_rows if len(row) < 4)
+    assert cancelled > 0
 
 
 def test_vertex_linking_in_both_kernels(d2):
