@@ -13,9 +13,10 @@ Fractions.  A caller that scales its rows to integers once saves the
 solver that work on every call.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add, itemgetter, neg, sub
 
 from .rat import check_rational, integer_numerators, normalize_int_vector
 
@@ -138,14 +139,24 @@ def solve_linear(rows, rhs):
 class Ray:
     """An extreme ray with coprime nonnegative integer coordinates.
 
-    Only the coordinates are stored; `support`, the set of indices of the
-    nonzero coordinates, is derived from them on each access."""
+    `mask` is the support as a bitmask, bit i for a nonzero coordinate i.
+    The double description hands over the masks it built; when none is
+    given, it is read off the coordinates.  Rays compare, order and hash
+    by their coordinates only."""
 
     coords: tuple
+    mask: int = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.mask is None:
+            object.__setattr__(self, "mask", sum(
+                1 << i for i, x in enumerate(self.coords) if x))
 
     @property
     def support(self):
-        return frozenset(i for i, x in enumerate(self.coords) if x != 0)
+        """The indices of the nonzero coordinates."""
+        m = self.mask
+        return frozenset(i for i in range(m.bit_length()) if m >> i & 1)
 
     @classmethod
     def from_vector(cls, v):
@@ -160,31 +171,59 @@ class ConeDescription:
     dim: int
 
 
-def _pack_chunks(masks, dim):
-    """The masks packed into integers, one block of dim + 1 bits per mask
-    with its top (guard) bit clear, in chunks of 1, 2, 4, ... masks in
-    list order.  Each chunk comes with the block-repeating multiplier
-    `ones`, the value 2**dim - 1 and the guard bit in every block, and
-    its mask count."""
-    width = dim + 1
-    chunks = []
-    start = 0
-    while start < len(masks):
-        part = masks[start:2 * start + 1]
-        start += len(part)
+# Masks per packed block of the adjacency count (enumerate_extreme_rays).
+# Measured by replaying the adjacency tests recorded from real runs
+# (CPython 3.11): on vertex-scan's 47 unoriented cones, full and
+# filtered, the full oriented cones of d2 after two seeded 2-3 moves and
+# two_tet_b1 after one, and the filtered oriented cones of three_tet after
+# three and four moves and two_tet_b1 after four, blocks of 64 masks took
+# 0.40-0.74 of the time of chunks of 1, 2, 4, ... masks on every input.
+# The lists packed on vertex-scan average 42 masks, which doubling chunks
+# read in six loop iterations and one block in one.  A single block of
+# the whole list took 0.39-0.50 on vertex-scan but 0.96-2.07 on the
+# oriented cones, whose lists run to hundreds of masks: there most pairs
+# have a third ray inside their union, and the first block stops them.
+_BLOCK = 64
+
+
+def _pack_blocks(masks, width):
+    """The masks packed into integers, _BLOCK masks to a block in list
+    order, mask k of a block in bits k * width up to (k + 1) * width - 1.
+    Each block comes with the number of masks up to and including it,
+    less 2.  _BLOCK records the measurement behind the block size."""
+    blocks = []
+    for start in range(0, len(masks), _BLOCK):
         packed = 0
-        for k, m in enumerate(part):
+        for k, m in enumerate(masks[start:start + _BLOCK]):
             packed |= m << k * width
-        ones = ((1 << width * len(part)) - 1) // ((1 << width) - 1)
-        chunks.append((packed, ones, ones * ((1 << dim) - 1), ones << dim,
-                       len(part)))
-    return chunks
+        blocks.append((packed, min(len(masks), start + _BLOCK) - 2))
+    return blocks
+
+
+def _row_values(row, rays):
+    """row . r for every ray r, as a list.
+
+    A row whose nonzero entries are all +1 or -1 is the difference of the
+    sums of the rays' entries over its +1 and its -1 columns; each column
+    is read by itemgetter, and the sums are taken column by column, so no
+    Python code runs per ray.  Any other row is a weighted sum over its
+    nonzero columns."""
+    terms = [(j, c) for j, c in enumerate(row) if c]
+    if any(c not in (1, -1) for _, c in terms):
+        return [sum(c * r[j] for j, c in terms) for r in rays]
+    (j, c), rest = terms[0], terms[1:]
+    acc = map(itemgetter(j), rays)
+    if c < 0:
+        acc = map(neg, acc)
+    for j, c in rest:
+        acc = map(add if c > 0 else sub, acc, map(itemgetter(j), rays))
+    return list(acc)
 
 
 def enumerate_extreme_rays(cone, reject=None):
     """All extreme rays of {x >= 0 : Ax = 0}, one canonical representative
     each, sorted by coordinates; with `reject`, only those whose support
-    it accepts.
+    it accepts.  Each Ray carries its support mask.
 
     Double description: start from the nonnegative orthant (rays e_i) and
     intersect with each hyperplane a.x = 0 in turn, keeping incident rays
@@ -192,34 +231,32 @@ def enumerate_extreme_rays(cone, reject=None):
     first scaled by the least positive integer that makes it integral,
     which keeps its hyperplane.  Hyperplanes are inserted in
     lexicographic order of those integer rows and evaluated over their
-    nonzero columns only.  Adjacency of two rays in the current cone is
-    decided combinatorially: with S the union of their supports, the
-    pair is adjacent exactly when no third current ray has its support
-    inside S.  The cone lies in the orthant, so it is pointed, and
-    the current rays are exactly its extreme rays, one per support; under
-    these two conditions the combinatorial test is exact (Fukuda and
-    Prodon, "Double description method revisited", 1996).  A new ray is a
+    nonzero columns only (_row_values).  Adjacency of two rays in the
+    current cone is decided combinatorially: with S the union of their
+    supports, the pair is adjacent exactly when no third current ray has
+    its support inside S.  The cone lies in the orthant, so it is pointed,
+    and the current rays are exactly its extreme rays, one per support;
+    under these two conditions the combinatorial test is exact (Fukuda
+    and Prodon, "Double description method revisited", 1996).  A new ray
+    p b + n c, for a pair of rays b and c with row values -n < 0 < p, is a
     positive combination of two nonnegative rays, so its support is
     exactly S, and it lies inside the 2-face its pair spans, which no
     other pair spans, so the new rays need no deduplication.
 
     The test counts the current rays with support inside S using integer
     arithmetic over many masks at once.  Once per hyperplane, when the
-    first pair reaches this test, the masks are packed into integers, each
-    mask in a block of dim + 1 bits: its dim support bits under a clear
-    guard bit.  ANDing a packed integer with the complement of S, repeated
-    into every block, leaves a block zero exactly when its mask lies
-    inside S.  Adding 2**dim - 1 to every block then sets the guard bit of
-    exactly the nonzero blocks, and no carry passes a guard: a block holds
-    less than 2**dim, so its sum stays below 2**(dim + 1).  So the mask
-    count minus the guard bits set is the number of masks inside S.  That
-    number includes the pair itself, and the pair is adjacent when it is
-    2.  The masks go into chunks of 1, 2, 4, ... masks in list order, and
-    the count stops at the first chunk that takes it past 2.  A pair with
-    a third ray inside S, the common case on large cones, thus stops
-    within about twice the prefix that a scan of the masks would read
-    before finding that ray, and an adjacent pair costs a logarithmic
-    number of word-parallel operations.
+    first pair reaches this test, the masks are packed into integers of
+    _BLOCK masks each (_pack_blocks), each mask in a field of dim + 1
+    bits: its dim support bits under a clear guard bit.  ANDing a block
+    with the complement of S, repeated into every field, leaves a field
+    zero exactly when its mask lies inside S.  Adding 2**dim - 1 to every
+    field then sets the guard bit of exactly the nonzero fields, and no
+    carry passes a guard: a field holds less than 2**dim, so its sum
+    stays below 2**(dim + 1).  The fields past the last mask of a short
+    block are zero and set no guard.  So the masks counted minus the
+    guard bits set is the number of masks inside S.  That number includes
+    the pair itself, and the pair is adjacent when it is 2; the count
+    stops at the first block that takes it past 2.
 
     A row that vanishes on every listed ray is skipped: it removes no ray
     and adds none.  A cheaper necessary condition runs before the support
@@ -238,6 +275,17 @@ def enumerate_extreme_rays(cone, reject=None):
     it spans the kernel of the earlier rows restricted to S, and the row
     vanishes on that kernel.
 
+    By the same argument every current ray has at most r + 1 nonzero
+    coordinates: its support T is accepted, the processed rows restricted
+    to T have rank at most r, and their kernel on T is the ray's line.
+    So neither mask of a pair ever exceeds the bound by itself, and
+    sorting the rays by popcount would drop no pair: the bound bites only
+    on what one support adds to the other, |supp(c) - supp(b)| <= r + 2 -
+    |supp(b)| with - the set difference.  Measured, 0 of the 155,372 pairs
+    of vertex-scan's full descriptions and 0 of the 723,045 of the full
+    oriented descriptions of the seven ball-ladder rungs that finish were
+    cut by the popcount of one mask.
+
     `reject(mask)` is a predicate on support bitmasks (bit i for
     coordinate i) and must be monotone: if it rejects S it rejects every
     superset of S.  Supports only grow under combination, so a rejected
@@ -254,6 +302,10 @@ def enumerate_extreme_rays(cone, reject=None):
         raise ValueError("every row needs one entry per coordinate (%d)"
                          % dim)
     full = (1 << dim) - 1
+    width = dim + 1
+    ones = ((1 << width * _BLOCK) - 1) // ((1 << width) - 1)
+    low = ones * full
+    guards = ones << dim
     rows = sorted({tuple(_integer_row(r)[1]) for r in cone.rows}
                   - {(0,) * dim})
     rays = []
@@ -262,40 +314,50 @@ def enumerate_extreme_rays(cone, reject=None):
         if reject is None or not reject(1 << i):
             rays.append(tuple(1 if j == i else 0 for j in range(dim)))
             masks.append(1 << i)
-    cuts = 0
+    bound = 2
     for a in rows:
-        terms = [(j, c) for j, c in enumerate(a) if c]
-        vals = [sum(c * r[j] for j, c in terms) for r in rays]
+        vals = _row_values(a, rays)
         if not any(vals):
             continue
-        zero = [(r, m) for r, m, v in zip(rays, masks, vals) if v == 0]
-        pos = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v > 0]
-        neg = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v < 0]
-        chunks = None
-        new = list(zero)
+        new_rays = []
+        new_masks = []
+        pos = []
+        negs = []
+        for r, m, v in zip(rays, masks, vals):
+            if v > 0:
+                pos.append((r, m, v))
+            elif v:
+                negs.append((r, m, -v))
+            else:
+                new_rays.append(r)
+                new_masks.append(m)
+        blocks = None
         for rp, mp, vp in pos:
-            for rn, mn, vn in neg:
+            for rn, mn, vn in negs:
                 union = mp | mn
-                if union.bit_count() - 2 > cuts:
+                if union.bit_count() > bound:
                     continue
                 if reject is not None and reject(union):
                     continue
-                if chunks is None:
-                    chunks = _pack_chunks(masks, dim)
-                outside = full ^ union
-                inside = 0
-                for packed, ones, low, guards, count in chunks:
-                    x = packed & outside * ones
-                    inside += count - ((x + low) & guards).bit_count()
-                    if inside > 2:
+                if blocks is None:
+                    blocks = _pack_blocks(masks, width)
+                spread = (full ^ union) * ones
+                nonzero = 0
+                for packed, most in blocks:
+                    nonzero += (((packed & spread) + low) & guards).bit_count()
+                    if nonzero < most:
                         break
                 else:
-                    new.append((normalize_int_vector(
-                        [vp * b - vn * c for c, b in zip(rp, rn)]), union))
-        rays = [r for r, _ in new]
-        masks = [m for _, m in new]
-        cuts += 1
-    return sorted(Ray.from_vector(r) for r in rays)
+                    # vp rn + vn rp; with vp == vn it is vp (rn + rp), which
+                    # normalizes to the same ray as rn + rp.
+                    new_rays.append(normalize_int_vector(
+                        list(map(add, rp, rn)) if vp == vn else
+                        [vp * b + vn * c for c, b in zip(rp, rn)]))
+                    new_masks.append(union)
+        rays = new_rays
+        masks = new_masks
+        bound += 1
+    return [Ray(r, m) for r, m in sorted(zip(rays, masks))]
 
 
 def is_extreme_ray(cone, coords):

@@ -72,11 +72,6 @@ class NormBall:
 _ZERO = Fraction(0)
 
 
-def _mask(support):
-    """The support as a bitmask, bit i for coordinate i."""
-    return sum(1 << i for i in support)
-
-
 class Pipeline:
     """Caches the derived systems of one triangulation across operations.
 
@@ -165,7 +160,7 @@ class Pipeline:
         nums, den = self._chi_integer[oriented]
         chi = Fraction(sum(nums[i] * coords[i] for i in support),
                        den * total)
-        adm = not self.quad_conflict[oriented](_mask(support))
+        adm = not self.quad_conflict[oriented](ray.mask)
         return ProjectiveVertex(coords, total, support, chi, adm)
 
     def enumerate_vertices(self, oriented=True):
@@ -182,7 +177,7 @@ class Pipeline:
         recession = []
         conflict = self.quad_conflict[True]
         for ray in self.oriented_rays:
-            if conflict(_mask(ray.support)):
+            if conflict(ray.mask):
                 continue
             v = self._tag_vertex(ray)
             if v.chi < 0:

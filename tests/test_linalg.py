@@ -21,6 +21,7 @@ from thurston.linalg import (
 )
 from thurston.normball import NormBall, evaluate_norm
 from thurston.rat import normalize_int_vector, primitive_integer_vector
+from thurston.triangulation import triangulation_from_json
 
 
 def test_rank_and_nullspace():
@@ -230,8 +231,8 @@ def test_extreme_rays_match_mask_scan_on_fixtures(name, oriented, full):
 
 def _random_large_cone(rng):
     """Dimension 20-45 and two to five sparse rows over -2..2: the cut
-    cones have dozens to about a thousand rays, which fill five to eleven
-    packed chunks."""
+    cones have dozens to about a thousand rays, which fill up to sixteen
+    packed blocks."""
     dim = rng.randint(20, 45)
     rows = []
     for _ in range(rng.randint(2, 5)):
@@ -290,6 +291,210 @@ def test_extreme_rays_reject_non_rational_rows(row):
     both gave the ray (1, 1)."""
     with pytest.raises(TypeError):
         enumerate_extreme_rays(ConeDescription((row,), 2))
+
+
+def test_ray_mask_is_not_compared():
+    """A Ray carries its support mask, read off the coordinates when none
+    is given; the mask takes no part in comparison, order or hash."""
+    r = Ray((0, 2, 3))
+    assert r.mask == 0b110 and r.support == frozenset({1, 2})
+    assert Ray((0, 2, 3), 0) == r and hash(Ray((0, 2, 3), 0)) == hash(r)
+    assert not Ray((0, 2, 3), 0) < r and not r < Ray((0, 2, 3), 0)
+    assert Ray((0, 2, 3)) < Ray((1, 0, 0), 0)
+
+
+def test_row_values_match_dot_product():
+    """Both evaluation paths, the column sums of a +-1 row and the
+    weighted sum of any other row, give every ray's dot product."""
+    rng = random.Random(31)
+    for _ in range(200):
+        dim = rng.randint(1, 9)
+        coefs = rng.choice(((1, -1), (1, -1, 2, -3)))
+        row = [0] * dim
+        for j in rng.sample(range(dim), rng.randint(1, dim)):
+            row[j] = rng.choice(coefs)
+        rays = [tuple(rng.randint(0, 5) for _ in range(dim))
+                for _ in range(rng.randint(0, 6))]
+        assert linalg._row_values(row, rays) == [
+            sum(c * x for c, x in zip(row, r)) for r in rays]
+
+
+def _seeded_row(rng, dim, rows):
+    """One row of a kind drawn at random: +-1 with two or four nonzeros,
+    weights such as 2 or -3, a single nonzero, a copy of an earlier row,
+    or all zero."""
+    kind = rng.choice(("pm2", "pm4", "weighted", "single", "copy", "zero"))
+    if kind == "copy" and rows:
+        return rng.choice(rows)
+    row = [0] * dim
+    if kind == "zero":
+        return tuple(row)
+    if kind == "single":
+        row[rng.randrange(dim)] = rng.choice((1, -1, 2))
+        return tuple(row)
+    size = {"pm2": 2, "pm4": 4}.get(kind, rng.randint(2, 4))
+    cols = rng.sample(range(dim), min(size, dim))
+    for j in cols:
+        row[j] = rng.choice((1, -1) if kind != "weighted"
+                            else (1, -1, 2, -2, 3, -3))
+    # A nonzero row with every entry of one sign keeps only the rays off
+    # its columns; give it an entry of each sign when it has two columns.
+    if len(cols) > 1 and (min(row) >= 0 or max(row) <= 0):
+        row[cols[0]] = -row[cols[0]]
+    return tuple(row)
+
+
+def test_extreme_rays_on_seeded_row_kinds():
+    """Cones of every row kind _seeded_row draws, against the brute force,
+    unfiltered and with a random monotone filter."""
+    rng = random.Random(41)
+    kept = 0
+    for _ in range(120):
+        dim = rng.randint(2, 8)
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            rows.append(_seeded_row(rng, dim, rows))
+        cone = ConeDescription(tuple(rows), dim)
+        full = _brute_force_rays(rows, dim)
+        assert enumerate_extreme_rays(cone) == full, cone
+        reject = _random_forbidden_pairs(rng, dim)
+        expected = [r for r in full if not reject(_mask(r))]
+        assert enumerate_extreme_rays(cone, reject=reject) == expected, cone
+        kept += len(expected)
+    assert kept > 100
+
+
+def _block_cone(k, l, rng):
+    """A cone whose first row, -1 on k columns and +1 on l more, leaves
+    k * l + 1 rays: each pair of its columns and the last coordinate.  The
+    second row, x_0 = x_last, then sends every pair of those rays that it
+    separates to the adjacency count, so the count packs exactly k * l + 1
+    masks.  Two random rows follow; they are 0 on column 0, so they sort
+    after the two rows that start with -1."""
+    dim = k + l + 1
+    rows = [tuple([-1] * k + [1] * l + [0]),
+            tuple([-1] + [0] * (dim - 2) + [1])]
+    extra = []
+    for _ in range(2):
+        extra.append(_seeded_row(rng, dim - 1, extra))
+    return ConeDescription(tuple(rows + [(0,) + r for r in extra]), dim)
+
+
+def test_extreme_rays_across_block_boundaries(monkeypatch):
+    """Mask lists of exactly 64, 65 and 129 masks, one block, one block
+    and one more mask, two blocks and one more, reach the adjacency count;
+    the rays match the scan of every mask, with and without a filter."""
+    sizes = set()
+    pack = linalg._pack_blocks
+
+    def recording_pack(masks, width):
+        sizes.add(len(masks))
+        return pack(masks, width)
+    monkeypatch.setattr(linalg, "_pack_blocks", recording_pack)
+    rng = random.Random(59)
+    for k, l in ((7, 9), (8, 8), (8, 16)):
+        cone = _block_cone(k, l, rng)
+        for reject in (None, _random_forbidden_pairs(rng, cone.dim)):
+            rays = enumerate_extreme_rays(cone, reject=reject)
+            assert rays == _reference_rays(cone, reject), cone
+    assert {64, 65, 129} <= sizes
+
+
+def _frozen_pack_chunks(masks, dim):
+    """_pack_chunks as it stood before fixed blocks: chunks of 1, 2, 4,
+    ... masks in list order."""
+    width = dim + 1
+    chunks = []
+    start = 0
+    while start < len(masks):
+        part = masks[start:2 * start + 1]
+        start += len(part)
+        packed = 0
+        for k, m in enumerate(part):
+            packed |= m << k * width
+        ones = ((1 << width * len(part)) - 1) // ((1 << width) - 1)
+        chunks.append((packed, ones, ones * ((1 << dim) - 1), ones << dim,
+                       len(part)))
+    return chunks
+
+
+def _frozen_rays(cone, reject=None):
+    """enumerate_extreme_rays as it stood before fixed blocks, column sums
+    and one-pass bookkeeping, kept to pin its output: the same rays in the
+    same order."""
+    dim = cone.dim
+    full = (1 << dim) - 1
+    rows = sorted({tuple(linalg._integer_row(r)[1]) for r in cone.rows}
+                  - {(0,) * dim})
+    rays = []
+    masks = []
+    for i in range(dim):
+        if reject is None or not reject(1 << i):
+            rays.append(tuple(1 if j == i else 0 for j in range(dim)))
+            masks.append(1 << i)
+    cuts = 0
+    for a in rows:
+        terms = [(j, c) for j, c in enumerate(a) if c]
+        vals = [sum(c * r[j] for j, c in terms) for r in rays]
+        if not any(vals):
+            continue
+        zero = [(r, m) for r, m, v in zip(rays, masks, vals) if v == 0]
+        pos = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v > 0]
+        neg = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v < 0]
+        chunks = None
+        new = list(zero)
+        for rp, mp, vp in pos:
+            for rn, mn, vn in neg:
+                union = mp | mn
+                if union.bit_count() - 2 > cuts:
+                    continue
+                if reject is not None and reject(union):
+                    continue
+                if chunks is None:
+                    chunks = _frozen_pack_chunks(masks, dim)
+                outside = full ^ union
+                inside = 0
+                for packed, ones, low, guards, count in chunks:
+                    x = packed & outside * ones
+                    inside += count - ((x + low) & guards).bit_count()
+                    if inside > 2:
+                        break
+                else:
+                    new.append((normalize_int_vector(
+                        [vp * b - vn * c for c, b in zip(rp, rn)]), union))
+        rays = [r for r, _ in new]
+        masks = [m for _, m in new]
+        cuts += 1
+    return sorted(Ray.from_vector(r) for r in rays)
+
+
+def _frozen_tri(name):
+    if name != "b1_grown":
+        return load(name)
+    from test_normball import B1_GROWN
+    return triangulation_from_json(B1_GROWN)
+
+
+# Every fixture and B1_GROWN, unoriented and oriented, full and filtered,
+# except the full oriented cone of three_tet, which takes about 40 s.
+FROZEN_CASES = [(name, oriented, full)
+                for name in names() + ["b1_grown"]
+                for oriented in (False, True) for full in (True, False)
+                if not (name == "three_tet" and oriented and full)]
+
+
+@pytest.mark.parametrize("name,oriented,full", FROZEN_CASES)
+def test_extreme_rays_match_frozen_routine(name, oriented, full):
+    """The same rays, in the same order, as the routine before fixed
+    blocks, and each ray's mask is its support."""
+    tri = _frozen_tri(name)
+    m = build_matching_system(tri, oriented=oriented)
+    cone = ConeDescription(tuple(m.rows), m.num_cols)
+    reject = None if full else quad_conflict_test(tri.num_tets, oriented)
+    rays = enumerate_extreme_rays(cone, reject=reject)
+    frozen = _frozen_rays(cone, reject)
+    assert rays == frozen
+    assert [r.mask for r in rays] == [r.mask for r in frozen]
 
 
 def test_lp_basic_optimum():
