@@ -17,7 +17,7 @@ from .normball import (DegenerateNormBall, NormBallError, Pipeline,
                        evaluate_norm)
 from .rat import (format_fraction, format_quotients, format_vector,
                   parse_int)
-from .surfaces import reconstruct_surface
+from .surfaces import check_disc_counts, reconstruct_surface
 from .triangulation import (InvalidTriangulation, TriangulationError,
                             parse_triangulation, validate_and_orient,
                             compute_skeleton, is_simplicial)
@@ -161,9 +161,12 @@ def cmd_surface(args):
         raise CliError("bad-coords", "cannot parse coordinates: %s" % e)
     if len(x.coords) != num_coords(tri.num_tets, x.oriented):
         raise CliError("bad-coords", "coordinate length mismatch")
-    if x.oriented:
-        x = forget_orientation(x)
     try:
+        if x.oriented:
+            # Checked before projecting: a negative or fractional pair can
+            # sum to a valid disc count.
+            check_disc_counts(x)
+            x = forget_orientation(x)
         surface = reconstruct_surface(tri, x)
     except ValueError as e:
         raise CliError("bad-surface", str(e))

@@ -146,6 +146,8 @@ class HomologyMap:
     def class_of(self, x):
         if not x.oriented:
             raise ValueError("expected oriented coordinates")
+        if len(x.coords) != len(self.edge_rows[0]):
+            raise ValueError("coordinate length mismatch")
         return _apply_rows(self.rows, x.coords)
 
     def dual_cocycle(self, matching, x):

@@ -13,8 +13,9 @@ hypothesis when nonzero.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
-from .chi import chi_star_coefficients
+from .chi import chi_star_row
 from .coords import (NormalVector, build_matching_system, forget_orientation,
                      num_coords, quad_conflict_test)
 from .homology import homology_map_matrix
@@ -88,6 +89,10 @@ class Pipeline:
     `check_zero_efficiency` (the `efficiency` command and the warnings of
     `ball`) uses it.  Those warnings check no B vertex on its own (see
     `hypothesis_warnings`).
+
+    `chi_row` holds the Euler functional once per theory, as integer
+    numerators over one common denominator (`chi_star_row`); every Euler
+    value the pipeline computes reads it.
     """
 
     def __init__(self, tri):
@@ -102,8 +107,11 @@ class Pipeline:
         return build_matching_system(self.tri, oriented=False)
 
     @cached_property
-    def chi_coeffs(self):
-        return chi_star_coefficients(self.tri, oriented=True)
+    def chi_row(self):
+        """Per theory (keyed by `oriented`), the Euler functional as
+        `chi_star_row` gives it: integer numerators over one common
+        denominator."""
+        return {o: chi_star_row(self.tri, o) for o in (True, False)}
 
     @cached_property
     def hmap(self):
@@ -135,57 +143,47 @@ class Pipeline:
         return enumerate_extreme_rays(self._cone(False),
                                       reject=self.quad_conflict[False])
 
-    @cached_property
-    def chi_coeffs_unoriented(self):
-        return chi_star_coefficients(self.tri, oriented=False)
-
-    @cached_property
-    def _chi_integer(self):
-        """Per theory, the Euler functional as integer numerators over one
-        common denominator.  A disc's term does not depend on its
-        transverse orientation, so oriented column 2i repeats unoriented
-        column i twice."""
-        den, (nums,) = integer_numerators([self.chi_coeffs_unoriented])
-        return {False: (nums, den),
-                True: (tuple(n for n in nums for _ in (1, -1)), den)}
-
-    def _tag_vertex(self, ray, oriented=True):
-        """The ProjectiveVertex of an extreme ray: its Euler functional
-        value is the integer numerators' dot product with the ray over
-        den times the ray's sum, one Fraction; no coordinate becomes a
-        Fraction here."""
-        coords = ray.coords
-        total = sum(coords)
-        support = ray.support
-        nums, den = self._chi_integer[oriented]
-        chi = Fraction(sum(nums[i] * coords[i] for i in support),
-                       den * total)
-        adm = not self.quad_conflict[oriented](ray.mask)
-        return ProjectiveVertex(coords, total, support, chi, adm)
-
     def enumerate_vertices(self, oriented=True):
         """Sum-one normalizations of the extreme rays of the chosen cone,
-        tagged with Euler functional value and admissibility."""
+        tagged with Euler functional value and admissibility.  A vertex's
+        value is the row's numerators dotted with the integer ray, over
+        den times the ray's sum: one Fraction, and no coordinate becomes
+        a Fraction here."""
         rays = self.oriented_rays if oriented else self.unoriented_rays
-        return [self._tag_vertex(r, oriented) for r in rays]
+        nums, den = self.chi_row[oriented]
+        conflict = self.quad_conflict[oriented]
+        verts = []
+        for ray in rays:
+            coords = ray.coords
+            total = sum(coords)
+            chi = Fraction(sum(nums[i] * coords[i] for i in ray.support),
+                           den * total)
+            verts.append(ProjectiveVertex(coords, total, ray.support, chi,
+                                          not conflict(ray.mask)))
+        return verts
 
     def build_B(self, variant="strict"):
-        """Scaled vertex sets: (B_vertices, recession_vertices)."""
+        """Scaled vertex sets: (B_vertices, recession_vertices).
+
+        On an admissible integer ray c with p = nums . c, the B vertex
+        (the ray scaled to Euler functional -1) is c * den / -p when
+        p < 0, and the recession vertex is c / sum(c) when p = 0."""
         if variant not in ("strict", "le"):
             raise ValueError("unknown variant %r" % (variant,))
         bverts = []
         recession = []
         conflict = self.quad_conflict[True]
+        nums, den = self.chi_row[True]
         for ray in self.oriented_rays:
             if conflict(ray.mask):
                 continue
-            v = self._tag_vertex(ray)
-            if v.chi < 0:
-                # (c / total) / |chi| = c * q / |p| with chi * total = p / q.
-                p, q = (v.chi * v.total).as_integer_ratio()
-                bverts.append(tuple(Fraction(c * q, -p) for c in v.ray))
-            elif v.chi == 0 and variant == "le":
-                recession.append(v.coords)
+            c = ray.coords
+            p = sum(nums[i] * c[i] for i in ray.support)
+            if p < 0:
+                bverts.append(tuple(Fraction(ci * den, -p) for ci in c))
+            elif p == 0 and variant == "le":
+                total = sum(c)
+                recession.append(tuple(Fraction(ci, total) for ci in c))
         return bverts, recession
 
     def norm_ball(self, variant="strict"):
@@ -227,18 +225,18 @@ class Pipeline:
                                 True)
             return TautRepresentative(zero, None, Fraction(0), 0)
         norm = evaluate_norm(ball, alpha)
-        target_chi = -norm
         n = num_coords(self.tri.num_tets, True)
 
         # Equality system over the oriented coordinates: matching rows,
         # homology rows = alpha, Euler row = -norm, weight row = w.
+        nums, den = self.chi_row[True]
         eq_rows = [list(r) for r in self.matching_oriented.rows]
         eq_rhs = [0] * len(eq_rows)
         for hrow, aval in zip(self.hmap.rows, alpha):
             eq_rows.append(list(hrow))
             eq_rhs.append(aval)
-        eq_rows.append(list(self.chi_coeffs))
-        eq_rhs.append(target_chi)
+        eq_rows.append(list(nums))
+        eq_rhs.append(-norm * den)
 
         for w in range(1, w_max + 1):
             rows = eq_rows + [[1] * n]
@@ -289,15 +287,13 @@ class Pipeline:
         rows = [r[:-1] for r in scaled]
         nrows = len(rows)
         # Achievable range of each row's tail given a shared weight budget:
-        # tail_min/tail_max hold min and max coefficients over columns >= k.
-        tail_min = [[0] * (n + 1) for _ in range(nrows)]
-        tail_max = [[0] * (n + 1) for _ in range(nrows)]
-        for i, row in enumerate(rows):
-            for k in range(n - 1, -1, -1):
-                tail_min[i][k] = min(row[k], tail_min[i][k + 1]) \
-                    if k < n - 1 else row[k]
-                tail_max[i][k] = max(row[k], tail_max[i][k + 1]) \
-                    if k < n - 1 else row[k]
+        # tail_min[i][k] and tail_max[i][k] are the least and greatest of 0
+        # and row i's coefficients over columns >= k, so both are 0 at
+        # k = n.
+        tail_min = [list(accumulate(reversed(row), min, initial=0))[::-1]
+                    for row in rows]
+        tail_max = [list(accumulate(reversed(row), max, initial=0))[::-1]
+                    for row in rows]
         residual = [r[-1] for r in scaled]
         prefix = []
         # The pivot columns of the transpose index rows spanning the row
@@ -306,14 +302,8 @@ class Pipeline:
 
         def intervals_ok(k, rem):
             for i in range(nrows):
-                r = residual[i]
-                if k == n:
-                    if r != 0:
-                        return False
-                    continue
-                lo = rem * min(0, tail_min[i][k])
-                hi = rem * max(0, tail_max[i][k])
-                if not lo <= r <= hi:
+                if not rem * tail_min[i][k] <= residual[i] \
+                        <= rem * tail_max[i][k]:
                     return False
             return True
 
@@ -367,8 +357,9 @@ class Pipeline:
         if assignment is None:
             return None
         weight = int(sum(x.coords))
-        return TautRepresentative(x, surface, dot(self.chi_coeffs, x.coords),
-                                  weight)
+        nums, den = self.chi_row[True]
+        return TautRepresentative(x, surface,
+                                  Fraction(dot(nums, x.coords), den), weight)
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -7,26 +7,25 @@ the edges they meet (triangle sheets nearest their vertex, quad sheets
 nearest their named pair edge), and the boundary arcs of consecutive
 sheets match across each face in nested order around each corner.  The
 reconstruction glues the discs along those arcs, splits the result into
-connected components and computes the Euler characteristic of each from
-its cell structure, decides 2-sidedness by propagating transverse
-orientations, and recognizes vertex-linking components.
+connected components, decides 2-sidedness by propagating transverse
+orientations, and recognizes vertex-linking components.  Each component
+is itself a closed embedded normal surface, so its Euler characteristic
+is the Euler functional (`chi.chi_star_row`) summed over its discs.
 
 The reconstruction runs on the integer disc counts.  Discs are numbered
 in (tet, kind, sheet) order, so the discs of (tet, kind) have the
 consecutive ids offset[7 * tet + kind] + sheet, with offset the running
 count of the discs before them, and an arc stack is two ranges of ids.
-A disc corner, where the disc meets the tetrahedron edge with index e
-(EDGE_INDEX), is slot 6 * disc + e of one flat union-find whose classes
-are the surface's vertices.
 """
 
 from dataclasses import dataclass, field
 
+from .chi import chi_star_row
 from .coords import (NormalVector, build_matching_system, conflicting_quads,
-                     disc_edges, disc_index, forget_orientation, is_compatible,
-                     quad_arc_sign_factor, quad_kind_for_arc, QUAD_PAIR,
-                     TRI_KINDS)
-from .triangulation import EDGE_INDEX, FACE_CORNERS
+                     disc_index, forget_orientation, is_compatible,
+                     num_coords, quad_arc_sign_factor, quad_kind_for_arc,
+                     QUAD_PAIR, TRI_KINDS)
+from .triangulation import FACE_CORNERS
 
 
 @dataclass
@@ -82,11 +81,6 @@ class NormalSurface:
                 "num_discs": len(self.discs)}
 
 
-# Per disc kind, the indices (EDGE_INDEX) of the tetrahedron edges its
-# corners lie on.
-_KIND_EDGES = tuple(tuple(EDGE_INDEX[pair] for pair in disc_edges(kind))
-                    for kind in range(7))
-
 def _arc_quad(face, corner):
     """The quad kind whose arc in `face` cuts off `corner`, whether its
     sheets run outward from the corner in reverse sheet order (the corner
@@ -121,22 +115,21 @@ def _arc_stack(counts, offset, tet, face, corner):
 def reconstruct_surface(tri, x, matching=None):
     """The unique embedded normal surface with unoriented coordinate x.
 
-    x must be integral, nonnegative, admissible and satisfy the unoriented
-    matching equations; each violated precondition raises its own error.
+    x must have one entry per unoriented disc type, be integral,
+    nonnegative, admissible and satisfy the unoriented matching
+    equations; each violated precondition raises its own error.
 
     The preconditions are checked once, on the integer counts.  An arc
     stack is a range of triangle ids followed by a range of quad ids (see
     the module docstring), and the relative orientation of two glued
     discs comes from the arc signs of those two ranges, one per range
-    rather than one per disc.  Each glued arc unites the corner slots of
-    its two ends on either side.
+    rather than one per disc.
     """
     if x.oriented:
         raise ValueError("expected unoriented coordinates")
-    if not x.is_nonnegative():
-        raise ValueError("not in the nonnegative cone")
-    if not x.is_integral():
-        raise ValueError("coordinates are not integral")
+    if len(x.coords) != num_coords(tri.num_tets, False):
+        raise ValueError("coordinate length mismatch")
+    check_disc_counts(x)
     counts = x.coords
     if any((counts[i] != 0) + (counts[i + 1] != 0) + (counts[i + 2] != 0) > 1
            for i in range(4, len(counts) - 2, 7)):
@@ -154,17 +147,6 @@ def reconstruct_surface(tri, x, matching=None):
             tet, kind = divmod(i, 7)
             discs.extend((tet, kind, sheet) for sheet in range(count))
 
-    # Surface vertices: orbits of disc corners under the identifications
-    # induced by the glued arcs.  A root is always a corner some disc
-    # has, since only such slots are ever united.
-    parent = list(range(6 * len(discs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     gluings = []
     for (tet_m, f_m), (tet_p, f_p) in tri.face_classes:
         perm = tri.gluings[tet_m][f_m].perm
@@ -178,31 +160,32 @@ def reconstruct_surface(tri, x, matching=None):
                 raise ArithmeticError("arc stacks differ across a face")
             if not n:
                 continue
-            # The arc's ends: the edges from `corner` to the face's other
-            # two corners, on either side.
-            ends = [(EDGE_INDEX[corner, w],
-                     EDGE_INDEX[perm[corner], perm[w]])
-                    for w in FACE_CORNERS[f_m] if w != corner]
             cuts = sorted({0, tri_m, tri_p, n})
             for lo, hi in zip(cuts, cuts[1:]):
                 rel = (1 if lo < tri_m else eta_m) * \
                     (1 if lo < tri_p else eta_p)
                 for da, db in zip(side_m[lo:hi], side_p[lo:hi]):
                     gluings.append((da, f_m, db, f_p, rel))
-                    for ea, eb in ends:
-                        ra, rb = find(6 * da + ea), find(6 * db + eb)
-                        if ra != rb:
-                            parent[max(ra, rb)] = min(ra, rb)
 
     surface = NormalSurface(x, discs, gluings)
-    _split_components(tri, surface, parent)
+    _split_components(tri, surface)
     return surface
 
 
-def _split_components(tri, surface, parent):
-    """Components of the surface, with their Euler characteristics from
-    the cell structure: a vertex per corner orbit (a root of `parent`),
-    an edge per glued arc, a face per disc."""
+def check_disc_counts(x):
+    """Raise ValueError unless every coordinate of x is a nonnegative
+    integer, as the disc counts of an embedded surface are."""
+    if not x.is_nonnegative():
+        raise ValueError("not in the nonnegative cone")
+    if not x.is_integral():
+        raise ValueError("coordinates are not integral")
+
+
+def _split_components(tri, surface):
+    """Components of the surface, with their Euler characteristics.  Each
+    component is a closed normal surface, so its Euler characteristic is
+    the Euler functional summed over its discs; that sum is an integer,
+    and a remainder raises ArithmeticError."""
     discs = surface.discs
     n = len(discs)
 
@@ -236,21 +219,21 @@ def _split_components(tri, surface, parent):
         two_sided[root] = ok
     surface._disc_sign = sign
 
+    nums, den = chi_star_row(tri, oriented=False)
     comp_discs = {}
     comp_chi = {}
-    for i, (_, kind, _) in enumerate(discs):
+    for i, (tet, kind, _) in enumerate(discs):
         c = comp[i]
         comp_discs.setdefault(c, []).append(i)
-        base = 6 * i
-        comp_chi[c] = comp_chi.get(c, 0) + 1 + sum(
-            1 for e in _KIND_EDGES[kind] if parent[base + e] == base + e)
-    for da, _, _, _, _ in surface.gluings:
-        comp_chi[comp[da]] -= 1
+        comp_chi[c] = comp_chi.get(c, 0) + nums[7 * tet + kind]
 
     components = []
     for root in sorted(comp_discs):
         ids = comp_discs[root]
-        chi = comp_chi[root]
+        chi, rem = divmod(comp_chi[root], den)
+        if rem:
+            raise ArithmeticError("Euler characteristic of a component is "
+                                  "not an integer")
         orientable = two_sided[root]
         vl, vc = _vertex_linking(tri, surface, ids)
         genus = (2 - chi) // 2 if orientable else None

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from thurston.chi import chi_star, chi_star_coefficients
+from thurston.chi import chi_star, chi_star_row
 from thurston.coords import (
     NormalVector, build_matching_system, disc_index, forget_orientation,
     reverse_orientation, vertex_linking_vector,
@@ -19,10 +19,10 @@ def d2():
 def test_single_disc_values_on_d2(d2):
     # All edge degrees are 2: a triangle gives 1 - 3/2 + 3/2 = 1 and a
     # quad gives 1 - 2 + 4/2 = 1.
-    coeffs = chi_star_coefficients(d2, oriented=True)
-    assert set(coeffs) == {Fraction(1)}
-    coeffs_un = chi_star_coefficients(d2, oriented=False)
-    assert set(coeffs_un) == {Fraction(1)}
+    nums, den = chi_star_row(d2, oriented=True)
+    assert len(nums) == 28 and set(nums) == {den}
+    nums_un, den_un = chi_star_row(d2, oriented=False)
+    assert len(nums_un) == 14 and set(nums_un) == {den_un}
 
 
 def test_vertex_linking_sphere_chi(d2):

@@ -323,6 +323,24 @@ def test_surface_non_integral_coords_are_bad_surface(paths, capsys):
             "code": "bad-surface", "message": "coordinates are not integral"}
 
 
+def test_surface_oriented_weights_checked_before_projection(paths, capsys):
+    """An oriented input must itself be nonnegative and integral.  On d2
+    a pair (-1, 1) projects to the empty surface and all-1/2 pairs on the
+    vertex link's discs to the vertex-linking sphere; each used to print
+    with exit code 0."""
+    link = vertex_linking_vector(load("d2"), 0, oriented=False)
+    halves = [h if c else "0/1" for c in link.coords for h in ("1/2", "1/2")]
+    for coords, message in (
+            (["-1/1", "1/1"] + ["0/1"] * 26, "not in the nonnegative cone"),
+            (halves, "coordinates are not integral")):
+        code, out = _run(capsys, ["surface", paths["d2"], "--coords",
+                                  json.dumps({"coords": coords,
+                                              "oriented": True})])
+        assert code == 1
+        assert json.loads(out)["error"] == {"code": "bad-surface",
+                                            "message": message}
+
+
 def test_representative_zero_class(paths, capsys):
     code, out = _run(capsys, ["representative", paths["d2"],
                               "--class", "", "--max-weight", "2"])

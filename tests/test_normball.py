@@ -398,7 +398,7 @@ def test_asphericity_lp_is_zero_on_B_vertices(grown_pipe):
     cone = grown_pipe._cone(True)
     for x in bverts:
         assert is_extreme_ray(cone, x)
-        res = solve_lp(*bounded_lp(list(grown_pipe.chi_coeffs), rows,
+        res = solve_lp(*bounded_lp(list(grown_pipe.chi_row[True][0]), rows,
                                    [0] * len(rows), x))
         assert res.optimal and res.value == 0
 
@@ -464,6 +464,7 @@ def test_input_checks_survive_optimize():
     that did not."""
     script = textwrap.dedent("""
         import sys
+        from thurston.chi import chi_star
         from thurston.coords import (NormalVector, build_matching_system,
                                      forget_orientation, reverse_orientation)
         from thurston.fixtures import load
@@ -486,6 +487,12 @@ def test_input_checks_survive_optimize():
             "reverse_orientation": lambda: reverse_orientation(u),
             "add": lambda: u + o,
             "class_of": lambda: homology_map_matrix(tri).class_of(u),
+            "class_of length": lambda: homology_map_matrix(tri).class_of(
+                NormalVector((1, 0, 0), True)),
+            "chi_star length": lambda: chi_star(
+                one, NormalVector((1,) * 5, True)),
+            "reconstruct_surface length": lambda: reconstruct_surface(
+                one, u),
             "dual_cocycle": lambda: homology_map_matrix(tri).dual_cocycle(
                 build_matching_system(tri, False), u),
             "assign_transverse_orientation":

@@ -83,9 +83,9 @@ def test_determinism(d2):
 
 
 def test_chi_oracle_on_corpus():
-    """Euler functional equals V - E + F of the reconstruction for random
-    admissible integral kernel vectors built from compatible vertex
-    surfaces."""
+    """Euler functional equals V - E + F of the reference reconstruction's
+    cell structure for random admissible integral kernel vectors built
+    from compatible vertex surfaces."""
     from thurston.linalg import ConeDescription, enumerate_extreme_rays
     from thurston.coords import is_admissible, num_coords
     rng = random.Random(41)
@@ -105,7 +105,7 @@ def test_chi_oracle_on_corpus():
                     total = cand
             if all(c == 0 for c in total.coords):
                 continue
-            surface = reconstruct_surface(tri, total, m)
+            surface = _reference_reconstruct(tri, total)
             assert chi_star(tri, total) == surface.total_chi
             checked += 1
     assert checked >= 40
