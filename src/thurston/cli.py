@@ -120,9 +120,7 @@ def cmd_ball(args):
             "map_rows": [format_vector(row) for row in ball.hmap.rows],
         }
     _dump(out)
-    certificate = any(w.startswith("atoroidality certificate")
-                      for w in warnings)
-    return 2 if certificate else 0
+    return 2 if any(any(c) for c in ball.recession_classes) else 0
 
 
 def _parse_class(text, b):

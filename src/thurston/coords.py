@@ -162,9 +162,11 @@ class MatchingSystem:
         return dense
 
     def is_in_kernel(self, coords):
-        """Exact membership of a rational vector.  The kernel is a linear
-        subspace, so a vector with a Fraction entry is first scaled to
-        integers."""
+        """Exact membership of a rational vector of length num_cols
+        (ValueError otherwise).  The kernel is a linear subspace, so a
+        vector with a Fraction entry is first scaled to integers."""
+        if len(coords) != self.num_cols:
+            raise ValueError("coordinate length mismatch")
         if not all(type(x) is int for x in coords):
             coords = integer_numerators([coords])[1][0]
         return all(sum(a * coords[j] for j, a in row) == 0
@@ -258,37 +260,40 @@ def reverse_orientation(x):
     return NormalVector(tuple(coords), True)
 
 
-def quad_weights(x, tet):
-    """Total weight of each quad kind in a tetrahedron, both orientations
-    summed in the oriented theory."""
-    weights = []
-    for kind in QUAD_KINDS:
-        if x.oriented:
-            w = x.coords[disc_index(tet, kind, 1, True)] + \
-                x.coords[disc_index(tet, kind, -1, True)]
-        else:
-            w = x.coords[disc_index(tet, kind, oriented=False)]
-        weights.append(w)
-    return weights
+def conflicting_quads(x):
+    """The first (tet, kind, kind'), kind < kind', where tetrahedron tet
+    carries two quad kinds, or None.  A kind is carried when one of its
+    coordinates is nonzero, both orientations counting as the kind."""
+    oriented = x.oriented
+    block = num_coords(1, oriented)
+    first = disc_index(0, QUAD_KINDS[0], 1, oriented)
+    c = x.coords
+    for tet in range(len(c) // block):
+        start = block * tet + first
+        q = c[start:start + block - first]
+        if oriented:
+            q = (q[0] or q[1], q[2] or q[3], q[4] or q[5])
+        a, b, d = q
+        if a and (b or d) or b and d:
+            hot = [kind for kind, w in zip(QUAD_KINDS, q) if w]
+            return tet, hot[0], hot[1]
+    return None
 
 
 def is_admissible(x):
-    """At most one quad kind with nonzero weight in each tetrahedron."""
+    """No tetrahedron of a nonnegative x carries two quad kinds
+    (`conflicting_quads`); a negative entry raises ValueError."""
     if not x.is_nonnegative():
         raise ValueError("not in the nonnegative cone")
-    t = len(x.coords) // (14 if x.oriented else 7)
-    for tet in range(t):
-        if sum(1 for w in quad_weights(x, tet) if w != 0) > 1:
-            return False
-    return True
+    return conflicting_quads(x) is None
 
 
 def quad_conflict_test(num_tets, oriented):
     """Support-bitmask form of inadmissibility: a predicate true on a
     mask (bit i for coordinate i) when some tetrahedron carries two quad
-    kinds, both orientations of one kind counting as that kind, as in
-    is_admissible.  It is monotone: a superset of a conflicting support
-    conflicts.
+    kinds, both orientations of one kind counting as that kind: the mask
+    form of conflicting_quads.  It is monotone: a superset of a
+    conflicting support conflicts.
 
     In the oriented theory each -1 bit is first folded onto its +1 bit;
     then shifting by a quad kind's offset in the tetrahedron block brings
@@ -312,17 +317,6 @@ def quad_conflict_test(num_tets, oriented):
 
 def is_compatible(x, y):
     return is_admissible(x + y)
-
-
-def conflicting_quads(x, y):
-    """First (tet, kind, kind') witnessing incompatibility, or None."""
-    t = len(x.coords) // (14 if x.oriented else 7)
-    for tet in range(t):
-        ws = quad_weights(x + y, tet)
-        hot = [QUAD_KINDS[i] for i, w in enumerate(ws) if w != 0]
-        if len(hot) > 1:
-            return tet, hot[0], hot[1]
-    return None
 
 
 def vertex_linking_vector(tri, vclass, sign=1, oriented=True):

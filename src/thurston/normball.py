@@ -21,7 +21,7 @@ from .coords import (NormalVector, build_matching_system, forget_orientation,
 from .homology import homology_map_matrix
 from .linalg import (ConeDescription, enumerate_extreme_rays,
                      remove_redundant_points, rref, solve_lp)
-from .rat import (check_rational, dot, integer_numerators,
+from .rat import (check_rational, integer_numerators,
                   primitive_integer_vector)
 from .surfaces import assign_transverse_orientation, reconstruct_surface
 from .triangulation import is_simplicial
@@ -242,9 +242,11 @@ class Pipeline:
             rows = eq_rows + [[1] * n]
             rhs = eq_rhs + [w]
             for x in self._integral_points(rows, rhs, w):
-                found = self._try_representative(x)
-                if found is not None:
-                    return found
+                # x meets the Euler and weight rows exactly, so its Euler
+                # functional is -norm and its weight w.
+                surface = self._try_representative(x)
+                if surface is not None:
+                    return TautRepresentative(x, surface, -norm, w)
         return None
 
     def _integral_points(self, rows, rhs, w):
@@ -346,6 +348,9 @@ class Pipeline:
         yield from rec(0, None)
 
     def _try_representative(self, x):
+        """The surface of x when it is a taut representative: no sphere,
+        torus or 1-sided component, and x's transverse orientation
+        realized on it; else None."""
         surface = reconstruct_surface(self.tri, forget_orientation(x),
                                       self.matching_unoriented)
         for comp in surface.components:
@@ -353,13 +358,9 @@ class Pipeline:
                 return None
             if comp.chi in (0, 2):
                 return None
-        assignment = assign_transverse_orientation(self.tri, surface, x)
-        if assignment is None:
+        if assign_transverse_orientation(self.tri, surface, x) is None:
             return None
-        weight = int(sum(x.coords))
-        nums, den = self.chi_row[True]
-        return TautRepresentative(x, surface,
-                                  Fraction(dot(nums, x.coords), den), weight)
+        return surface
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -397,9 +398,8 @@ class Pipeline:
         of chi*(y) is 0, at y = 0, and the check cannot fail on a ball
         that `norm_ball` builds."""
         warnings = []
-        simplicial = is_simplicial(self.tri)
-        efficiency = self.check_zero_efficiency()
-        if not simplicial and efficiency["status"] == "counterexample":
+        if not is_simplicial(self.tri) and \
+                self.check_zero_efficiency()["status"] == "counterexample":
             warnings.append(
                 "hypotheses unverified: triangulation is not simplicial and "
                 "a non-vertex-linking normal sphere exists among vertex "

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .chi import chi_star_row
 from .coords import (NormalVector, build_matching_system, conflicting_quads,
-                     disc_index, forget_orientation, is_compatible,
+                     disc_index, forget_orientation, is_admissible,
                      num_coords, quad_arc_sign_factor, quad_kind_for_arc,
                      QUAD_PAIR, TRI_KINDS)
 from .triangulation import FACE_CORNERS
@@ -131,8 +131,7 @@ def reconstruct_surface(tri, x, matching=None):
         raise ValueError("coordinate length mismatch")
     check_disc_counts(x)
     counts = x.coords
-    if any((counts[i] != 0) + (counts[i + 1] != 0) + (counts[i + 2] != 0) > 1
-           for i in range(4, len(counts) - 2, 7)):
+    if conflicting_quads(x) is not None:
         raise ValueError("not admissible: two quad kinds share a tetrahedron")
     if matching is None:
         matching = build_matching_system(tri, oriented=False)
@@ -307,9 +306,10 @@ def add_compatible(x, y):
     """Coordinate sum of compatible vectors; for integral admissible
     inputs this is the coordinate of the geometric sum of the two
     embedded surfaces."""
-    if not is_compatible(x, y):
-        tet, k1, k2 = conflicting_quads(x, y)
+    s = x + y
+    if not is_admissible(s):
+        tet, k1, k2 = conflicting_quads(s)
         raise ValueError(
             "incompatible: tetrahedron %d carries quad kinds %d and %d"
             % (tet, k1 - 4, k2 - 4))
-    return x + y
+    return s

@@ -218,6 +218,22 @@ def test_norm_degenerate_exit_2(paths, capsys):
     assert json.loads(out)["error"]["code"] == "degenerate-norm-ball"
 
 
+def test_ball_exit_code_reads_recession_classes(tmp_path, capsys,
+                                               monkeypatch):
+    """`ball` exits 2 when a recession vertex has a nonzero class, whatever
+    the warnings say."""
+    path = tmp_path / "b1_grown.json"
+    path.write_text(B1_GROWN)
+    monkeypatch.setattr(thurston.normball.Pipeline, "hypothesis_warnings",
+                        lambda self, ball: [])
+    code, out = _run(capsys, ["ball", str(path), "--variant", "le"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["warnings"] == []
+    assert any(any(parse_fraction(c) for c in cls)
+               for cls in doc["recession_classes"])
+
+
 def test_surface_roundtrip_from_enumerate(paths, capsys):
     """Every admissible vertex of the unoriented enumeration reconstructs
     through the surface command once scaled to its integral

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from thurston.coords import (
-    NormalVector, arc_disc_columns, build_matching_system, disc_index, disc_of_index,
-    forget_orientation, is_admissible, is_compatible, num_coords,
+    NormalVector, arc_disc_columns, build_matching_system, conflicting_quads,
+    disc_index, disc_of_index, forget_orientation, is_admissible, is_compatible, num_coords,
     quad_conflict_test, reverse_orientation, vertex_linking_vector,
     quad_kind_separating, QUAD_PAIR, QUAD_OPP,
 )
@@ -186,6 +186,35 @@ def test_quad_conflict_test_matches_is_admissible(oriented):
             x = NormalVector(tuple((mask >> i) & 1 for i in range(n)),
                              oriented)
             assert conflict(mask) == (not is_admissible(x)), (t, mask)
+
+
+@pytest.mark.parametrize("oriented", [True, False])
+def test_conflicting_quads_matches_quad_conflict_test(oriented):
+    """The vector witness against the mask form, on the masks of
+    test_quad_conflict_test_matches_is_admissible with positive weights
+    on the support: a witness exactly when the mask conflicts, naming two
+    carried kinds in order in the first conflicting tetrahedron."""
+    rng = random.Random(5)
+    weights = random.Random(6)
+    signs = (1, -1) if oriented else (1,)
+    for t in (1, 2, 3):
+        conflict = quad_conflict_test(t, oriented)
+        n = num_coords(t, oriented)
+        for _ in range(400):
+            mask = rng.getrandbits(n) & rng.getrandbits(n)
+            x = NormalVector(tuple(weights.randint(1, 3) if mask >> i & 1
+                                   else 0 for i in range(n)), oriented)
+            found = conflicting_quads(x)
+            assert (found is None) == (not conflict(mask)), (t, mask)
+            if found is None:
+                continue
+            tet, k, k2 = found
+            assert 4 <= k < k2 <= 6
+            for kind in (k, k2):
+                assert any(x.coords[disc_index(tet, kind, s, oriented)]
+                           for s in signs)
+            before = mask & ((1 << num_coords(tet, oriented)) - 1)
+            assert not conflict(before), (t, mask)
 
 
 def test_negative_coordinate_rejected():

@@ -362,6 +362,18 @@ def test_hypothesis_warnings_on_d2(d2_pipe):
     assert any("non-vertex-linking" in w for w in warnings)
 
 
+def test_simplicial_warnings_skip_efficiency_search(monkeypatch, d2_pipe):
+    """On a simplicial triangulation the 0-efficiency search decides no
+    warning, so `hypothesis_warnings` does not run it."""
+    def unreachable(self):
+        raise AssertionError("0-efficiency search ran")
+
+    ball = d2_pipe.norm_ball("strict")
+    monkeypatch.setattr(normball, "is_simplicial", lambda tri: True)
+    monkeypatch.setattr(Pipeline, "check_zero_efficiency", unreachable)
+    assert d2_pipe.hypothesis_warnings(ball) == []
+
+
 # two_tet_b1 after one seeded 2-3 move (perfbench/moves.py, `grow` with
 # seed "1/two_tet_b1"): three tetrahedra, and the first input here whose
 # B is nonempty.
@@ -495,6 +507,11 @@ def test_input_checks_survive_optimize():
                 one, u),
             "dual_cocycle": lambda: homology_map_matrix(tri).dual_cocycle(
                 build_matching_system(tri, False), u),
+            "is_in_kernel length": lambda: build_matching_system(
+                tri, True).is_in_kernel((0,) * 3),
+            "dual_cocycle length": lambda: homology_map_matrix(
+                tri).dual_cocycle(build_matching_system(tri, True),
+                                  NormalVector((0,) * 30, True)),
             "assign_transverse_orientation":
                 lambda: assign_transverse_orientation(one, surface, u),
             "build_B": lambda: Pipeline(tri).build_B("bogus"),

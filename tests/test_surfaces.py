@@ -144,6 +144,12 @@ def test_add_compatible_rules(d2):
         add_compatible(_two_quad(4), _two_quad(5))
 
 
+def test_add_compatible_negative_sum_rejected():
+    x = _two_quad(4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        add_compatible(x, x.scale(-2))
+
+
 def test_disjoint_links_sum(d2):
     a = forget_orientation(vertex_linking_vector(d2, 0, 1, True))
     b = forget_orientation(vertex_linking_vector(d2, 1, 1, True))
