@@ -2,14 +2,13 @@
 
 Subcommands: validate, enumerate, ball, norm, surface, representative,
 efficiency.  Standard output carries exactly one JSON document per run
-with all numbers as exact rational strings "p/q"; logging goes to
-standard error.  Exit codes: 0 success, 1 invalid input (a usage error
-included), 2 hypothesis-violation certificate.
+with all numbers as exact rational strings "p/q".  Exit codes: 0 success,
+1 invalid input (a usage error included), 2 hypothesis-violation
+certificate.
 """
 
 import argparse
 import json
-import logging
 import sys
 
 from .coords import NormalVector, forget_orientation, num_coords
@@ -21,9 +20,6 @@ from .surfaces import check_disc_counts, reconstruct_surface
 from .triangulation import (InvalidTriangulation, TriangulationError,
                             parse_triangulation, validate_and_orient,
                             compute_skeleton, is_simplicial)
-
-log = logging.getLogger("thurston")
-
 
 class CliError(Exception):
     def __init__(self, code, message, exit_code=1):
@@ -137,10 +133,10 @@ def _parse_class(text, b):
 def cmd_norm(args):
     tri, _ = _load_triangulation(args.file)
     pipe = Pipeline(tri)
-    ball = pipe.norm_ball("strict")
-    alpha = _parse_class(args.cls, ball.b)
+    alpha = _parse_class(args.cls, pipe.hmap.b)
     try:
-        value = evaluate_norm(ball, alpha)
+        value = evaluate_norm(pipe.norm_ball("strict"), alpha) \
+            if any(alpha) else 0
     except DegenerateNormBall as e:
         raise CliError("degenerate-norm-ball", str(e), exit_code=2)
     _dump({"class": alpha, "norm": format_fraction(value)})
@@ -284,7 +280,6 @@ def run(argv):
     """One command; the parser is built on the first call of a process
     and reused by later ones."""
     global _parser
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
     if _parser is None:
         _parser = build_parser()
     try:

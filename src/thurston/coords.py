@@ -23,7 +23,6 @@ from .rat import (check_rational, exact_entries, format_vector,
                   integer_numerators, parse_vector)
 from .triangulation import FACE_CORNERS
 
-NUM_KINDS = 7          # per tetrahedron: 4 triangles then 3 quads
 TRI_KINDS = (0, 1, 2, 3)
 QUAD_KINDS = (4, 5, 6)
 
@@ -148,7 +147,6 @@ class MatchingSystem:
     """
 
     sparse_rows: list
-    oriented: bool
     num_cols: int
 
     @cached_property
@@ -236,7 +234,7 @@ def build_matching_system(tri, oriented=True):
                 row[p2] = row.get(p2, 0) - 1
                 rows.append(tuple((base_m + j, a)
                                   for j, a in sorted(row.items()) if a))
-    return MatchingSystem(rows, oriented, n)
+    return MatchingSystem(rows, n)
 
 
 def forget_orientation(x):

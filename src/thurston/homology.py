@@ -37,10 +37,9 @@ def cochain_complex(tri):
     nv = len(tri.vertex_classes)
     d0 = []
     for members in tri.edge_classes:
+        # compute_skeleton gives each class's first member direction +1.
         tet, ei = members[0]
         a, b = EDGES[ei]
-        if tri.edge_direction[(tet, ei)] < 0:
-            a, b = b, a
         row = [0] * nv
         row[tri.vertex_class[(tet, b)]] += 1
         row[tri.vertex_class[(tet, a)]] -= 1
@@ -50,11 +49,10 @@ def cochain_complex(tri):
         v0, v1, v2 = FACE_CORNERS[face]
         row = [0] * len(d0)
         for (p, q), sgn in (((v1, v2), 1), ((v0, v2), -1), ((v0, v1), 1)):
+            # FACE_CORNERS lists corners increasing, so EDGES[ei] is (p, q).
             ei = EDGE_INDEX[(p, q)]
-            direction = tri.edge_direction[(tet, ei)]
-            if p > q:
-                direction = -direction
-            row[tri.edge_class[(tet, ei)]] += sgn * direction
+            row[tri.edge_class[(tet, ei)]] += \
+                sgn * tri.edge_direction[(tet, ei)]
         d1.append(row)
     d0_cols = list(zip(*d0))
     if any(any(_apply_rows(d0_cols, row)) for row in d1):

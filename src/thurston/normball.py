@@ -210,38 +210,30 @@ class Pipeline:
 
         Points are visited in increasing total weight, lexicographically
         within each weight.  Returns a TautRepresentative or None.  The
-        class's entries must be ints or Fractions (TypeError otherwise,
-        before the ball is built).
+        class is checked first: its entries must be ints or Fractions
+        (TypeError otherwise), b of them and all integral (NormBallError
+        otherwise).  The zero class is answered with the empty surface;
+        only a nonzero class builds the norm ball.
         """
         check_rational(alpha)
-        ball = self.norm_ball("strict")
-        alpha = tuple(Fraction(a) for a in alpha)
-        if len(alpha) != ball.b:
+        if len(alpha) != self.hmap.b:
             raise NormBallError("class dimension mismatch")
         if any(a.denominator != 1 for a in alpha):
             raise NormBallError("class must be integral")
-        if all(a == 0 for a in alpha):
-            zero = NormalVector((0,) * num_coords(self.tri.num_tets, True),
-                                True)
-            return TautRepresentative(zero, None, Fraction(0), 0)
-        norm = evaluate_norm(ball, alpha)
         n = num_coords(self.tri.num_tets, True)
+        if not any(alpha):
+            return TautRepresentative(NormalVector((0,) * n, True), None,
+                                      Fraction(0), 0)
+        norm = evaluate_norm(self.norm_ball("strict"), alpha)
 
         # Equality system over the oriented coordinates: matching rows,
         # homology rows = alpha, Euler row = -norm, weight row = w.
         nums, den = self.chi_row[True]
-        eq_rows = [list(r) for r in self.matching_oriented.rows]
-        eq_rhs = [0] * len(eq_rows)
-        for hrow, aval in zip(self.hmap.rows, alpha):
-            eq_rows.append(list(hrow))
-            eq_rhs.append(aval)
-        eq_rows.append(list(nums))
-        eq_rhs.append(-norm * den)
-
+        matching = self.matching_oriented.rows
+        rows = [*matching, *self.hmap.rows, nums, (1,) * n]
+        rhs = [0] * len(matching) + list(alpha) + [-norm * den]
         for w in range(1, w_max + 1):
-            rows = eq_rows + [[1] * n]
-            rhs = eq_rhs + [w]
-            for x in self._integral_points(rows, rhs, w):
+            for x in self._integral_points(rows, rhs + [w], w):
                 # x meets the Euler and weight rows exactly, so its Euler
                 # functional is -norm and its weight w.
                 surface = self._try_representative(x)
@@ -353,12 +345,9 @@ class Pipeline:
         realized on it; else None."""
         surface = reconstruct_surface(self.tri, forget_orientation(x),
                                       self.matching_unoriented)
-        for comp in surface.components:
-            if not comp.orientable:
-                return None
-            if comp.chi in (0, 2):
-                return None
-        if assign_transverse_orientation(self.tri, surface, x) is None:
+        # assign_transverse_orientation rejects a 1-sided component.
+        if any(comp.chi in (0, 2) for comp in surface.components) or \
+                assign_transverse_orientation(self.tri, surface, x) is None:
             return None
         return surface
 

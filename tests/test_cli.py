@@ -212,6 +212,21 @@ def test_norm_zero_class(paths, capsys):
     assert json.loads(out)["norm"] == "0/1"
 
 
+def test_norm_builds_no_ball_for_zero_or_bad_class(paths, capsys,
+                                                  monkeypatch):
+    def unreachable(self, variant="strict"):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(thurston.normball.Pipeline, "norm_ball", unreachable)
+    code, out = _run(capsys, ["norm", paths["d2"], "--class", ""])
+    assert (code, out) == (0, '{"class":[],"norm":"0/1"}\n')
+    code, out = _run(capsys, ["norm", paths["two_tet_b1"], "--class", "0"])
+    assert (code, out) == (0, '{"class":[0],"norm":"0/1"}\n')
+    code, out = _run(capsys, ["norm", paths["d2"], "--class", "1"])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "class-dimension-mismatch"
+
+
 def test_norm_degenerate_exit_2(paths, capsys):
     code, out = _run(capsys, ["norm", paths["two_tet_b1"], "--class", "1"])
     assert code == 2
@@ -363,6 +378,16 @@ def test_representative_zero_class(paths, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["found"] and doc["weight"] == 0
+
+
+def test_representative_not_found(tmp_path, capsys):
+    """On the grown two_tet_b1 class 1 has norm 2 and no taut
+    representative of weight at most 4: the search runs to the end."""
+    path = tmp_path / "b1_grown.json"
+    path.write_text(B1_GROWN)
+    code, out = _run(capsys, ["representative", str(path), "--class", "1",
+                              "--max-weight", "4"])
+    assert (code, out) == (0, '{"found":false,"max_weight":4}\n')
 
 
 def test_representative_degenerate_exit_2(paths, capsys):

@@ -1,16 +1,24 @@
+import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from thurston.coords import (NormalVector, build_matching_system,
                              reverse_orientation, vertex_linking_vector)
-from thurston.fixtures import load, names
+from thurston.fixtures import fixture_json, load, names
 from thurston.homology import (betti_numbers, cochain_complex,
                                edge_intersection_matrix, h1_basis,
                                homology_map_matrix)
-from thurston.linalg import nullspace, rank_int
+from thurston.linalg import enumerate_extreme_rays, nullspace, rank_int
+from thurston.normball import Pipeline
 from thurston.rat import primitive_integer_vector
+from thurston.triangulation import (FACE_CORNERS, is_simplicial,
+                                   triangulation_from_json)
+
+from test_normball import B1_GROWN
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +43,16 @@ def _random_kernel(m, basis, rng):
 def test_d1_d0_zero(corpus):
     for tri in corpus.values():
         cochain_complex(tri)  # checks d1 . d0 = 0 internally
+
+
+def test_cochain_complex_reads_edges_forward(corpus):
+    """`cochain_complex` takes each edge class along its first member and
+    each face's edges from its corners in increasing order, with no sign
+    flip: every class's first member has direction +1, and FACE_CORNERS is
+    increasing."""
+    for tri in corpus.values():
+        assert all(tri.edge_direction[m[0]] == 1 for m in tri.edge_classes)
+    assert all(list(c) == sorted(c) for c in FACE_CORNERS)
 
 
 def test_betti_numbers(corpus):
@@ -209,3 +227,73 @@ def test_edge_matrix_shape(corpus):
         z = edge_intersection_matrix(tri)
         assert len(z) == len(tri.edge_classes)
         assert all(len(row) == 14 * tri.num_tets for row in z)
+
+
+def t3_json():
+    """T^3 as the Kuhn subdivision of the unit cube with opposite faces
+    identified: a test-only input, outside `fixtures.TABLES`.
+
+    Tetrahedron pi, a permutation of the axes, has vertices 0, e_pi0,
+    e_pi0 + e_pi1 and (1, 1, 1).  Faces 1 and 2 glue by 0123 to the
+    tetrahedra with (pi0, pi1), resp. (pi1, pi2), swapped.  Face 0 glues
+    by 3012 to (pi1, pi2, pi0), translated by -e_pi0, and face 3 by 1230
+    to (pi2, pi0, pi1), translated by +e_pi2."""
+    perms = list(itertools.permutations(range(3)))
+    index = {pi: i for i, pi in enumerate(perms)}
+    tets = [[[index[b, c, a], "3012"], [index[b, a, c], "0123"],
+             [index[a, c, b], "0123"], [index[c, a, b], "1230"]]
+            for a, b, c in perms]
+    return json.dumps({"tets": tets})
+
+
+@pytest.fixture(scope="module")
+def t3():
+    return triangulation_from_json(t3_json())
+
+
+def test_t3_skeleton(t3):
+    assert t3.num_tets == 6
+    assert len(t3.vertex_classes) == 1
+    assert len(t3.edge_classes) == 7
+    assert not is_simplicial(t3)
+    assert betti_numbers(t3) == (1, 3)
+
+
+def test_t3_admissible_rays_by_euler_sign_and_class(t3):
+    """The quad-filtered oriented double description only: the full one
+    (`oriented_rays`, hence `build_B` and `norm_ball`) runs for over ten
+    minutes on T^3.  Its 41 admissible rays: 7 with chi* < 0 (the B
+    vertices), all of class 0, as norm 0 on T^3 requires; 32 with
+    chi* = 0, of which 18 carry a nonzero class (the atoroidality
+    certificates of the `le` ball); and 2 with chi* > 0."""
+    pipe = Pipeline(t3)
+    rays = enumerate_extreme_rays(pipe._cone(True),
+                                  reject=pipe.quad_conflict[True])
+    nums, _ = pipe.chi_row[True]
+    counts = Counter()
+    for ray in rays:
+        p = sum(a * c for a, c in zip(nums, ray.coords))
+        cls = pipe.hmap.class_of(NormalVector(ray.coords, True))
+        counts[(p > 0) - (p < 0), any(cls)] += 1
+    assert counts == {(-1, False): 7, (0, False): 14, (0, True): 18,
+                      (1, False): 2}
+
+
+@pytest.mark.parametrize("text,radius,cocycles", [
+    pytest.param(fixture_json("two_tet_b1"), 3, 3, id="two_tet_b1"),
+    pytest.param(B1_GROWN, 3, 3, id="b1_grown"),
+    pytest.param(t3_json(), 1, 13, id="t3")])
+def test_projection_of_integer_cocycles_is_integral(text, radius, cocycles):
+    """Every integer cocycle with entries in [-radius, radius] has
+    integral coordinates in the H^1 basis."""
+    tri = triangulation_from_json(text)
+    h = homology_map_matrix(tri)
+    found = 0
+    for z in itertools.product(range(-radius, radius + 1),
+                               repeat=len(h.d0)):
+        if any(sum(a * v for a, v in zip(row, z)) for row in h.d1):
+            continue
+        found += 1
+        assert all(Fraction(sum(a * v for a, v in zip(row, z))).denominator
+                   == 1 for row in h.projection_rows)
+    assert found == cocycles

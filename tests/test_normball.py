@@ -20,6 +20,8 @@ from thurston.linalg import (enumerate_extreme_rays, is_extreme_ray,
                              remove_redundant_points, solve_lp)
 from thurston.normball import (DegenerateNormBall, NormBall, NormBallError,
                                Pipeline, evaluate_norm)
+from thurston.surfaces import (assign_transverse_orientation,
+                              reconstruct_surface)
 from thurston.triangulation import triangulation_from_json
 
 from test_linalg import bounded_lp
@@ -162,6 +164,20 @@ def test_taut_representative_degenerate(b1_pipe):
 
 
 def test_taut_representative_class_checks(b1_pipe):
+    with pytest.raises(NormBallError, match="dimension"):
+        b1_pipe.find_taut_representative((1, 0), 3)
+    with pytest.raises(NormBallError, match="integral"):
+        b1_pipe.find_taut_representative((Fraction(1, 2),), 3)
+
+
+def test_class_checks_and_zero_class_build_no_ball(monkeypatch, b1_pipe):
+    """The class alone decides these answers, so the norm ball, whose
+    oriented double description is the expensive step, is never built."""
+    def unreachable(variant):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(b1_pipe, "norm_ball", unreachable)
+    assert b1_pipe.find_taut_representative((0,), 3).weight == 0
     with pytest.raises(NormBallError, match="dimension"):
         b1_pipe.find_taut_representative((1, 0), 3)
     with pytest.raises(NormBallError, match="integral"):
@@ -396,6 +412,33 @@ def test_first_nonempty_B(grown_pipe):
     assert len(ball.B_vertices) == 4
     warnings = grown_pipe.hypothesis_warnings(ball)
     assert len(warnings) == 1 and "not simplicial" in warnings[0]
+
+
+def test_try_representative_on_doubled_B_vertices(grown_pipe):
+    """Twice each B vertex of the grown two_tet_b1 is an integral kernel
+    point.  The two B vertices of class 0 give weight 8, each one
+    orientable surface with chi = -2 carrying x's transverse orientation.
+    The two of class +-1/2 give class +-1 at weight 17, with a 1-sided
+    chi = 0 component besides, so neither is a taut representative."""
+    tri = grown_pipe.tri
+    seen = Counter()
+    for v in grown_pipe.norm_ball("strict").B_vertices:
+        x = NormalVector(tuple(2 * c for c in v), True)
+        assert x.is_integral()
+        cls = grown_pipe.hmap.class_of(x)
+        surface = grown_pipe._try_representative(x)
+        if cls == (0,):
+            assert sum(x.coords) == 8
+            assert [(c.chi, c.orientable) for c in surface.components] \
+                == [(-2, True)]
+            assert assign_transverse_orientation(tri, surface, x) is not None
+        else:
+            assert cls in ((1,), (-1,)) and sum(x.coords) == 17
+            assert surface is None
+            comps = reconstruct_surface(tri, forget_orientation(x)).components
+            assert any(c.chi == 0 and not c.orientable for c in comps)
+        seen[cls == (0,)] += 1
+    assert seen == {True: 2, False: 2}
 
 
 def test_asphericity_lp_is_zero_on_B_vertices(grown_pipe):

@@ -1,5 +1,5 @@
-"""Every top-level function and class in src/thurston, and every
-non-dunder method of a top-level class, is referenced by name somewhere in
+"""Every top-level function, class and assigned name in src/thurston, and
+every non-dunder method of a top-level class, is referenced by name in
 src, tests, perfbench or pyproject.toml outside its own definition.  A
 word-boundary search stands in for a call graph: a name mentioned only
 where it is defined is dead code.  The benchmark's hooks into the package,
@@ -24,32 +24,46 @@ def _sources():
     return {p: p.read_text(encoding="utf-8") for p in paths}
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions():
+    """(path, name, node) of every top-level function, class and
+    assignment target, and of every method, dunders exempt."""
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield path, node
+                yield path, node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not (
-                            item.name.startswith("__")
-                            and item.name.endswith("__")):
-                        yield path, item
+                    if isinstance(item, ast.FunctionDef) and \
+                            not _dunder(item.name):
+                        yield path, item.name, item
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and \
+                                not _dunder(name.id):
+                            yield path, name.id, node
 
 
 def test_every_definition_is_referenced():
     sources = _sources()
     unreferenced = []
-    for path, node in _definitions():
-        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    for path, name, node in _definitions():
+        decorators = getattr(node, "decorator_list", [])
+        first = min([node.lineno] + [d.lineno for d in decorators])
         lines = sources[path].splitlines()
         rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
-        word = re.compile(r"\b%s\b" % re.escape(node.name))
+        word = re.compile(r"\b%s\b" % re.escape(name))
         if not word.search(rest) and not any(
                 word.search(text) for p, text in sources.items()
                 if p != path):
             unreferenced.append("%s:%d %s" % (
-                path.relative_to(ROOT), node.lineno, node.name))
+                path.relative_to(ROOT), node.lineno, name))
     assert not unreferenced, unreferenced
 
 
