@@ -17,7 +17,7 @@ from itertools import accumulate
 
 from .chi import chi_star_row
 from .coords import (NormalVector, build_matching_system, forget_orientation,
-                     num_coords, quad_conflict_test)
+                     num_coords, quad_conflict_test, vertex_linking_vector)
 from .homology import homology_map_matrix
 from .linalg import (ConeDescription, enumerate_extreme_rays,
                      remove_redundant_points, rref, solve_lp)
@@ -87,8 +87,9 @@ class Pipeline:
     unoriented cone enumerated with the quad-conflict filter, so its
     double description never builds an inadmissible ray; only
     `check_zero_efficiency` (the `efficiency` command and the warnings of
-    `ball`) uses it.  Those warnings check no B vertex on its own (see
-    `hypothesis_warnings`).
+    `ball`) uses it, reading a non-vertex-linking sphere off each ray and
+    reconstructing only the one it reports.  Those warnings check no B
+    vertex on its own (see `hypothesis_warnings`).
 
     `chi_row` holds the Euler functional once per theory, as integer
     numerators over one common denominator (`chi_star_row`); every Euler
@@ -355,23 +356,41 @@ class Pipeline:
 
     def check_zero_efficiency(self):
         """Search the admissible vertex surfaces of the unoriented cone
-        for a sphere component that is not vertex linking.
+        for a sphere that is not vertex linking, reading each off its ray.
+
+        A vertex surface, the primitive integer point c of an extreme ray,
+        is connected: the vectors of its pieces would be cone points on
+        that ray summing to c, so smaller integer multiples of a
+        primitive vector, which do not exist.  A connected closed surface
+        with Euler characteristic 2 is a sphere.  So c is a counterexample
+        exactly when nums . c = 2 * den (`chi_row`) and c is not a vertex
+        link's vector.  Only the first such ray is reconstructed, for the
+        report, and ArithmeticError is raised unless it is one
+        non-vertex-linking sphere.
 
         Completeness of this filter rests on vertex-surface theory beyond
         what is implemented here, so a clean pass is reported as "no
         counterexample among vertex surfaces", not as a certificate.
         """
         rays = self.admissible_unoriented_rays
+        nums, den = self.chi_row[False]
+        links = {vertex_linking_vector(self.tri, vc, oriented=False).coords
+                 for vc in range(len(self.tri.vertex_classes))}
         for ray in rays:
-            x = NormalVector(ray.coords, False)
+            c = ray.coords
+            if sum(nums[i] * c[i] for i in ray.support) != 2 * den \
+                    or c in links:
+                continue
+            x = NormalVector(c, False)
             surface = reconstruct_surface(self.tri, x,
                                           self.matching_unoriented)
-            for comp in surface.components:
-                if comp.chi == 2 and comp.orientable \
-                        and not comp.vertex_linking:
-                    return {"status": "counterexample",
-                            "coords": x,
-                            "surface": surface}
+            if [(comp.chi, comp.orientable, comp.vertex_linking)
+                    for comp in surface.components] != [(2, True, False)]:
+                raise ArithmeticError("a vertex surface with Euler "
+                                      "characteristic 2 is not one "
+                                      "non-vertex-linking sphere")
+            return {"status": "counterexample", "coords": x,
+                    "surface": surface}
         return {"status": "no-counterexample-among-vertex-surfaces",
                 "vertex_surfaces_checked": len(rays)}
 

@@ -8,9 +8,12 @@ nearest their named pair edge), and the boundary arcs of consecutive
 sheets match across each face in nested order around each corner.  The
 reconstruction glues the discs along those arcs, splits the result into
 connected components, decides 2-sidedness by propagating transverse
-orientations, and recognizes vertex-linking components.  Each component
-is itself a closed embedded normal surface, so its Euler characteristic
-is the Euler functional (`chi.chi_star_row`) summed over its discs.
+orientations, and recognizes vertex-linking components by their disc
+counts.  Each component is itself a closed embedded normal surface, so
+it is determined by its vector of disc counts: its Euler characteristic
+is the Euler functional (`chi.chi_star_row`) of that vector, and it is a
+vertex link exactly when that vector is a vertex class's unoriented
+`coords.vertex_linking_vector`.
 
 The reconstruction runs on the integer disc counts.  Discs are numbered
 in (tet, kind, sheet) order, so the discs of (tet, kind) have the
@@ -19,12 +22,13 @@ count of the discs before them, and an arc stack is two ranges of ids.
 """
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .chi import chi_star_row
 from .coords import (NormalVector, build_matching_system, conflicting_quads,
                      disc_index, forget_orientation, is_admissible,
                      num_coords, quad_arc_sign_factor, quad_kind_for_arc,
-                     QUAD_PAIR, TRI_KINDS)
+                     vertex_linking_vector, QUAD_PAIR)
 from .triangulation import FACE_CORNERS
 
 
@@ -181,10 +185,14 @@ def check_disc_counts(x):
 
 
 def _split_components(tri, surface):
-    """Components of the surface, with their Euler characteristics.  Each
-    component is a closed normal surface, so its Euler characteristic is
-    the Euler functional summed over its discs; that sum is an integer,
-    and a remainder raises ArithmeticError."""
+    """Components of the surface, each read off its unoriented disc-count
+    vector: its Euler characteristic is the Euler functional of that
+    vector, an integer (a remainder raises ArithmeticError), and it is
+    vertex linking exactly when that vector is the link of a vertex
+    class.  Only one link can match, that of the class of the
+    component's first disc when that disc is a triangle, so that link
+    alone is built, and only for a component with one disc per corner of
+    the class."""
     discs = surface.discs
     n = len(discs)
 
@@ -220,43 +228,30 @@ def _split_components(tri, surface):
 
     nums, den = chi_star_row(tri, oriented=False)
     comp_discs = {}
-    comp_chi = {}
-    for i, (tet, kind, _) in enumerate(discs):
-        c = comp[i]
-        comp_discs.setdefault(c, []).append(i)
-        comp_chi[c] = comp_chi.get(c, 0) + nums[7 * tet + kind]
+    for i in range(n):
+        comp_discs.setdefault(comp[i], []).append(i)
 
     components = []
-    for root in sorted(comp_discs):
-        ids = comp_discs[root]
-        chi, rem = divmod(comp_chi[root], den)
+    for root, ids in sorted(comp_discs.items()):
+        counts = [0] * len(nums)
+        for i in ids:
+            tet, kind, _ = discs[i]
+            counts[7 * tet + kind] += 1
+        chi, rem = divmod(sum(map(mul, nums, counts)), den)
         if rem:
             raise ArithmeticError("Euler characteristic of a component is "
                                   "not an integer")
+        # A triangle's kind is the corner it cuts off; a quad's is none.
+        vc = tri.vertex_class.get(discs[root][:2])
+        if vc is not None and (len(ids) != len(tri.vertex_classes[vc])
+                               or tuple(counts) != vertex_linking_vector(
+                                   tri, vc, oriented=False).coords):
+            vc = None
         orientable = two_sided[root]
-        vl, vc = _vertex_linking(tri, surface, ids)
         genus = (2 - chi) // 2 if orientable else None
         components.append(SurfaceComponent(
-            ids, chi, orientable, vl, vc, genus))
+            ids, chi, orientable, vc is not None, vc, genus))
     surface.components = components
-
-
-def _vertex_linking(tri, surface, ids):
-    corners = set()
-    for i in ids:
-        tet, kind, _ = surface.discs[i]
-        if kind not in TRI_KINDS:
-            return False, None
-        corners.add((tet, kind))
-    classes = {tri.vertex_class[c] for c in corners}
-    if len(classes) != 1:
-        return False, None
-    vc = classes.pop()
-    if len(ids) != len(tri.vertex_classes[vc]):
-        return False, None
-    if corners != set(tri.vertex_classes[vc]):
-        raise ArithmeticError("vertex-link corners do not fill their class")
-    return True, vc
 
 
 def assign_transverse_orientation(tri, surface, target):

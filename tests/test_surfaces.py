@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import thurston.normball as normball
 from thurston.chi import chi_star
 from thurston.coords import (NormalVector, QUAD_PAIR, TRI_KINDS,
                              build_matching_system, disc_edges, disc_index,
@@ -18,6 +19,7 @@ from thurston.surfaces import (NormalSurface, SurfaceComponent,
 from thurston.triangulation import (EDGE_INDEX, FACE_CORNERS,
                                     triangulation_from_json)
 
+from test_homology import t3_json
 from test_normball import B1_GROWN
 
 
@@ -322,3 +324,94 @@ def test_reconstruction_matches_reference():
         seen["one-sided"] += any(not c.orientable for c in got.components)
         seen["multi"] += len(got.components) > 1
     assert seen["b1_grown"] >= 30 and seen["one-sided"] and seen["multi"]
+
+
+# Per input: (admissible unoriented vertex surfaces, non-vertex-linking
+# spheres among them, vertex links among them).
+VERTEX_SURFACES = {"d2": (7, 3, 4), "one_tet": (2, 0, 1),
+                   "three_tet": (3, 0, 1), "two_tet_b1": (4, 1, 1),
+                   "two_tet_efficient": (2, 0, 1), "b1_grown": (6, 1, 1),
+                   "t3": (11, 0, 1)}
+
+
+def _scan_input(name):
+    """A fixture, the grown two_tet_b1 or T^3, by name."""
+    if name == "b1_grown":
+        return triangulation_from_json(B1_GROWN)
+    if name == "t3":
+        return triangulation_from_json(t3_json())
+    return load(name)
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_SURFACES))
+def test_vertex_surfaces_are_read_off_their_rays(name):
+    """Every admissible unoriented vertex surface reconstructs to one
+    component.  It is a non-vertex-linking sphere exactly when its ray
+    has Euler functional 2 and is not a vertex link's vector, and it is
+    vertex linking exactly when the reference corner test says so."""
+    tri = _scan_input(name)
+    pipe = Pipeline(tri)
+    nums, den = pipe.chi_row[False]
+    links = {vertex_linking_vector(tri, vc, oriented=False).coords
+             for vc in range(len(tri.vertex_classes))}
+    rays = pipe.admissible_unoriented_rays
+    spheres = linked = 0
+    for ray in rays:
+        c = ray.coords
+        surface = reconstruct_surface(tri, NormalVector(c, False))
+        (comp,) = surface.components
+        assert (comp.vertex_linking, comp.vertex_class) == \
+            _reference_vertex_linking(tri, surface.discs, comp.discs)
+        sphere = comp.chi == 2 and not comp.vertex_linking
+        rule = sum(a * b for a, b in zip(nums, c)) == 2 * den and \
+            c not in links
+        assert rule == sphere, (name, c)
+        spheres += sphere
+        linked += comp.vertex_linking
+    assert (len(rays), spheres, linked) == VERTEX_SURFACES[name]
+
+
+def _reference_scan(pipe):
+    """The 0-efficiency scan as a search of every reconstructed vertex
+    surface for a non-vertex-linking sphere component."""
+    rays = pipe.admissible_unoriented_rays
+    for ray in rays:
+        x = NormalVector(ray.coords, False)
+        surface = reconstruct_surface(pipe.tri, x)
+        if any(c.chi == 2 and c.orientable and not c.vertex_linking
+               for c in surface.components):
+            return {"status": "counterexample", "coords": x,
+                    "surface": surface}
+    return {"status": "no-counterexample-among-vertex-surfaces",
+            "vertex_surfaces_checked": len(rays)}
+
+
+@pytest.mark.parametrize("name,calls", [
+    ("d2", 1), ("two_tet_b1", 1), ("b1_grown", 1), ("one_tet", 0),
+    ("three_tet", 0), ("two_tet_efficient", 0), ("t3", 0)])
+def test_zero_efficiency_rebuilds_only_the_reported_sphere(
+        monkeypatch, name, calls):
+    """The scan gives the full search's result and reconstructs only the
+    ray it reports."""
+    pipe = Pipeline(_scan_input(name))
+    want = _reference_scan(pipe)
+    seen = []
+
+    def counted(*args):
+        seen.append(args[1])
+        return reconstruct_surface(*args)
+
+    monkeypatch.setattr(normball, "reconstruct_surface", counted)
+    assert pipe.check_zero_efficiency() == want
+    assert len(seen) == calls
+
+
+def test_zero_efficiency_certifies_the_reported_sphere(monkeypatch):
+    """A reported ray whose surface is not one non-vertex-linking sphere
+    raises: here twice the ray, two parallel spheres."""
+    def doubled(tri, x, matching=None):
+        return reconstruct_surface(tri, x.scale(2), matching)
+
+    monkeypatch.setattr(normball, "reconstruct_surface", doubled)
+    with pytest.raises(ArithmeticError, match="non-vertex-linking sphere"):
+        Pipeline(load("d2")).check_zero_efficiency()
