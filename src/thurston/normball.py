@@ -344,8 +344,7 @@ class Pipeline:
         """The surface of x when it is a taut representative: no sphere,
         torus or 1-sided component, and x's transverse orientation
         realized on it; else None."""
-        surface = reconstruct_surface(self.tri, forget_orientation(x),
-                                      self.matching_unoriented)
+        surface = reconstruct_surface(self.tri, forget_orientation(x))
         # assign_transverse_orientation rejects a 1-sided component.
         if any(comp.chi in (0, 2) for comp in surface.components) or \
                 assign_transverse_orientation(self.tri, surface, x) is None:
@@ -382,8 +381,7 @@ class Pipeline:
                     or c in links:
                 continue
             x = NormalVector(c, False)
-            surface = reconstruct_surface(self.tri, x,
-                                          self.matching_unoriented)
+            surface = reconstruct_surface(self.tri, x)
             if [(comp.chi, comp.orientable, comp.vertex_linking)
                     for comp in surface.components] != [(2, True, False)]:
                 raise ArithmeticError("a vertex surface with Euler "

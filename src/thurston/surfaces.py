@@ -19,12 +19,16 @@ The reconstruction runs on the integer disc counts.  Discs are numbered
 in (tet, kind, sheet) order, so the discs of (tet, kind) have the
 consecutive ids offset[7 * tet + kind] + sheet, with offset the running
 count of the discs before them, and an arc stack is two ranges of ids.
+The unoriented matching equations are the arc-stack equalities: each
+arc class of each face class has stacks of one length on its two sides.
+They are checked on the counts, before any disc is built.
 """
 
 from dataclasses import dataclass, field
 from operator import mul
 
 from .chi import chi_star_row
+# Unused here; perfbench/spans.py wraps surfaces.build_matching_system.
 from .coords import (NormalVector, build_matching_system, conflicting_quads,
                      disc_index, forget_orientation, is_admissible,
                      num_coords, quad_arc_sign_factor, quad_kind_for_arc,
@@ -102,6 +106,13 @@ _ARC_QUADS = tuple(tuple(_arc_quad(face, corner) if corner != face else None
                    for face in range(4))
 
 
+def _arc_count(counts, tet, face, corner):
+    """The length of the arc stack cutting off `corner` in `face` of
+    `tet`: its triangles plus its quads."""
+    t = 7 * tet
+    return counts[t + corner] + counts[t + _ARC_QUADS[face][corner][0]]
+
+
 def _arc_stack(counts, offset, tet, face, corner):
     """The disc ids whose boundary arcs cut off `corner` in `face` of
     `tet`, ordered outward from the corner: triangle sheets first, then
@@ -116,18 +127,19 @@ def _arc_stack(counts, offset, tet, face, corner):
              *(quads[::-1] if reverse else quads)], counts[t], eta)
 
 
-def reconstruct_surface(tri, x, matching=None):
+def reconstruct_surface(tri, x):
     """The unique embedded normal surface with unoriented coordinate x.
 
     x must have one entry per unoriented disc type, be integral,
     nonnegative, admissible and satisfy the unoriented matching
     equations; each violated precondition raises its own error.
 
-    The preconditions are checked once, on the integer counts.  An arc
-    stack is a range of triangle ids followed by a range of quad ids (see
-    the module docstring), and the relative orientation of two glued
-    discs comes from the arc signs of those two ranges, one per range
-    rather than one per disc.
+    The preconditions are checked once, on the integer counts, before any
+    disc is built; the matching equations are checked as the arc-stack
+    equalities.  An arc stack is a range of triangle ids followed by a
+    range of quad ids (see the module docstring), and the relative
+    orientation of two glued discs comes from the arc signs of those two
+    ranges, one per range rather than one per disc.
     """
     if x.oriented:
         raise ValueError("expected unoriented coordinates")
@@ -137,9 +149,14 @@ def reconstruct_surface(tri, x, matching=None):
     counts = x.coords
     if conflicting_quads(x) is not None:
         raise ValueError("not admissible: two quad kinds share a tetrahedron")
-    if matching is None:
-        matching = build_matching_system(tri, oriented=False)
-    if not matching.is_in_kernel(counts):
+    # Each arc class of each face class: (tet, face, corner) on its - side,
+    # then on its + side, whose corner label the gluing translates.
+    arcs = [((tet_m, f_m, corner),
+             (tet_p, f_p, tri.gluings[tet_m][f_m].perm[corner]))
+            for (tet_m, f_m), (tet_p, f_p) in tri.face_classes
+            for corner in FACE_CORNERS[f_m]]
+    if any(_arc_count(counts, *m) != _arc_count(counts, *p)
+           for m, p in arcs):
         raise ValueError("matching equations violated")
 
     discs = []
@@ -151,24 +168,18 @@ def reconstruct_surface(tri, x, matching=None):
             discs.extend((tet, kind, sheet) for sheet in range(count))
 
     gluings = []
-    for (tet_m, f_m), (tet_p, f_p) in tri.face_classes:
-        perm = tri.gluings[tet_m][f_m].perm
-        for corner in FACE_CORNERS[f_m]:
-            side_m, tri_m, eta_m = _arc_stack(counts, offset, tet_m, f_m,
-                                              corner)
-            side_p, tri_p, eta_p = _arc_stack(counts, offset, tet_p, f_p,
-                                              perm[corner])
-            n = len(side_m)
-            if n != len(side_p):
-                raise ArithmeticError("arc stacks differ across a face")
-            if not n:
-                continue
-            cuts = sorted({0, tri_m, tri_p, n})
-            for lo, hi in zip(cuts, cuts[1:]):
-                rel = (1 if lo < tri_m else eta_m) * \
-                    (1 if lo < tri_p else eta_p)
-                for da, db in zip(side_m[lo:hi], side_p[lo:hi]):
-                    gluings.append((da, f_m, db, f_p, rel))
+    for (tet_m, f_m, c_m), (tet_p, f_p, c_p) in arcs:
+        side_m, tri_m, eta_m = _arc_stack(counts, offset, tet_m, f_m, c_m)
+        side_p, tri_p, eta_p = _arc_stack(counts, offset, tet_p, f_p, c_p)
+        n = len(side_m)
+        if not n:
+            continue
+        cuts = sorted({0, tri_m, tri_p, n})
+        for lo, hi in zip(cuts, cuts[1:]):
+            rel = (1 if lo < tri_m else eta_m) * \
+                (1 if lo < tri_p else eta_p)
+            for da, db in zip(side_m[lo:hi], side_p[lo:hi]):
+                gluings.append((da, f_m, db, f_p, rel))
 
     surface = NormalSurface(x, discs, gluings)
     _split_components(tri, surface)

@@ -8,10 +8,11 @@ import pytest
 
 import thurston
 from thurston.cli import run
-from thurston.coords import vertex_linking_vector
+from thurston.coords import NormalVector, vertex_linking_vector
 from thurston.fixtures import fixture_json, load, names
 from thurston.homology import homology_map_matrix
 from thurston.rat import parse_fraction, primitive_integer_vector
+from thurston.surfaces import reconstruct_surface
 from thurston.triangulation import triangulation_from_json
 
 from test_normball import B1_GROWN
@@ -370,6 +371,38 @@ def test_surface_oriented_weights_checked_before_projection(paths, capsys):
         assert code == 1
         assert json.loads(out)["error"] == {"code": "bad-surface",
                                             "message": message}
+
+
+def test_surface_builds_no_matching_system(paths, capsys, monkeypatch):
+    """The surface command decides the matching equations on the arc
+    stacks: with every matching-system builder raising it prints what
+    it prints unpatched."""
+    link = vertex_linking_vector(load("d2"), 0, oriented=False)
+    argv = ["surface", paths["d2"], "--coords", json.dumps(
+        {"coords": ["%d/1" % c for c in link.coords], "oriented": False})]
+    want = _run(capsys, argv)
+
+    def unreachable(tri, oriented=True):
+        raise AssertionError("a matching system was built")
+
+    for mod in (thurston.coords, thurston.normball, thurston.surfaces):
+        monkeypatch.setattr(mod, "build_matching_system", unreachable)
+    assert _run(capsys, argv) == want
+    assert want[0] == 0 and json.loads(want[1])["components"]
+
+
+def test_surface_rejects_a_huge_non_solution_before_any_disc(paths,
+                                                             capsys):
+    """10**18 discs of one triangle type would never be built; the
+    matching equations reject them on the counts first."""
+    coords = [10 ** 18] + [0] * 13
+    with pytest.raises(ValueError, match="^matching equations violated$"):
+        reconstruct_surface(load("d2"), NormalVector(tuple(coords), False))
+    code, out = _run(capsys, ["surface", paths["d2"], "--coords", json.dumps(
+        {"coords": ["%d/1" % c for c in coords], "oriented": False})])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "bad-surface", "message": "matching equations violated"}
 
 
 def test_representative_zero_class(paths, capsys):

@@ -326,6 +326,39 @@ def test_reconstruction_matches_reference():
     assert seen["b1_grown"] >= 30 and seen["one-sided"] and seen["multi"]
 
 
+def test_matching_equations_are_checked_on_the_arc_stacks():
+    """reconstruct_surface rejects a vector for the matching equations
+    exactly when the unoriented matching system does, on the differential
+    inputs and T^3's vertex surfaces, each also with one triangle
+    coordinate raised by 1 (still admissible).  Both outcomes occur on
+    every triangulation."""
+    t3 = _scan_input("t3")
+    inputs = [*_differential_inputs(),
+              *(("t3", t3, NormalVector(r.coords, False))
+                for r in Pipeline(t3).admissible_unoriented_rays)]
+    systems = {}
+    seen = Counter()
+    for name, tri, x in inputs:
+        if name not in systems:
+            systems[name] = build_matching_system(tri, oriented=False)
+        for j in [None, *(disc_index(tet, k, oriented=False)
+                          for tet in range(tri.num_tets) for k in TRI_KINDS)]:
+            c = list(x.coords)
+            if j is not None:
+                c[j] += 1
+            y = NormalVector(tuple(c), False)
+            kernel = systems[name].is_in_kernel(y.coords)
+            if kernel:
+                reconstruct_surface(tri, y)
+            else:
+                with pytest.raises(ValueError,
+                                   match="^matching equations violated$"):
+                    reconstruct_surface(tri, y)
+            seen[name, kernel] += 1
+    assert {name for name, _ in seen} == {*names(), "b1_grown", "t3"}
+    assert all(seen[name, True] and seen[name, False] for name, _ in seen)
+
+
 # Per input: (admissible unoriented vertex surfaces, non-vertex-linking
 # spheres among them, vertex links among them).
 VERTEX_SURFACES = {"d2": (7, 3, 4), "one_tet": (2, 0, 1),
@@ -409,8 +442,8 @@ def test_zero_efficiency_rebuilds_only_the_reported_sphere(
 def test_zero_efficiency_certifies_the_reported_sphere(monkeypatch):
     """A reported ray whose surface is not one non-vertex-linking sphere
     raises: here twice the ray, two parallel spheres."""
-    def doubled(tri, x, matching=None):
-        return reconstruct_surface(tri, x.scale(2), matching)
+    def doubled(tri, x):
+        return reconstruct_surface(tri, x.scale(2))
 
     monkeypatch.setattr(normball, "reconstruct_surface", doubled)
     with pytest.raises(ArithmeticError, match="non-vertex-linking sphere"):
