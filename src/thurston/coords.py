@@ -14,6 +14,14 @@ A normal arc in a face cuts off one corner; its transverse orientation is
 oriented arc classes per face class, and one matching equation per
 oriented (resp. unoriented) arc class saying that the number of discs
 inducing the arc agrees on the two sides of the face.
+
+This module is the one place that knows what a normal arc is.  In any
+tetrahedron the arc cutting off `corner` in `face` bounds the triangle at
+`corner` and one quad; `ARC_QUADS[face][corner]` names that quad, whether
+its sheets meet the arc in reverse sheet order, and its arc sign.
+`arc_classes(tri)` lists every arc class of every face class with its two
+sides.  The matching equations (`build_matching_system`) and the arc
+stacks of `surfaces.reconstruct_surface` both read these two.
 """
 
 from dataclasses import dataclass
@@ -64,6 +72,18 @@ def quad_arc_sign_factor(face, corner):
     points toward the cut-off corner exactly when the named pair {0, k}
     contains the face index (equivalently 0 is the face or the corner)."""
     return 1 if (face == 0 or corner == 0) else -1
+
+
+# Per face and corner, the quad whose arc in that face cuts off that
+# corner: (quad kind, reverse, sign).  Its sheets, stacked nearest its
+# named pair first, run outward from the corner in reverse sheet order
+# when the corner lies away from that pair; sign is quad_arc_sign_factor.
+# None where the corner is the face's own (opposite) vertex.
+ARC_QUADS = tuple(tuple(
+    None if c == f else (quad_kind_for_arc(f, c),
+                         c not in QUAD_PAIR[quad_kind_for_arc(f, c)],
+                         quad_arc_sign_factor(f, c))
+    for c in range(4)) for f in range(4))
 
 
 def num_coords(t, oriented):
@@ -175,15 +195,12 @@ def arc_disc_columns(tet, face, corner, sign, oriented):
     """Columns of the discs of `tet` whose boundary contains the arc in
     `face` cutting off `corner`, with transverse orientation `sign` in the
     oriented theory: exactly one triangle and one quad."""
-    qk = quad_kind_for_arc(face, corner)
+    qk, _, eta = ARC_QUADS[face][corner]
     if oriented:
-        tri_col = disc_index(tet, corner, sign, True)
-        quad_col = disc_index(
-            tet, qk, quad_arc_sign_factor(face, corner) * sign, True)
-    else:
-        tri_col = disc_index(tet, corner, oriented=False)
-        quad_col = disc_index(tet, qk, oriented=False)
-    return tri_col, quad_col
+        return (disc_index(tet, corner, sign, True),
+                disc_index(tet, qk, eta * sign, True))
+    return (disc_index(tet, corner, oriented=False),
+            disc_index(tet, qk, oriented=False))
 
 
 # Per theory, the arc_disc_columns of tetrahedron 0 keyed by (face,
@@ -195,6 +212,26 @@ _ARC_OFFSETS = {
     for oriented in (True, False)}
 
 
+def arc_classes(tri):
+    """Every arc class of every face class, by face class and then by
+    corner, as ((tet_m, f_m, c), (tet_p, f_p, perm[c])): the (tet, face,
+    corner) of the arc on the face class's - side, then on its + side.
+
+    The face classes' embeddings are stored sorted, so the first is the -
+    side, and the gluing permutation of the - side translates its corner
+    labels to the + side.  A face class that the gluing does not carry to
+    its own + side raises ArithmeticError."""
+    arcs = []
+    for fc, ((tet_m, f_m), (tet_p, f_p)) in enumerate(tri.face_classes):
+        g = tri.gluings[tet_m][f_m]
+        if (g.tet, g.perm[f_m]) != (tet_p, f_p):
+            raise ArithmeticError("face class %d does not match its gluing"
+                                  % fc)
+        arcs.extend(((tet_m, f_m, c), (tet_p, f_p, g.perm[c]))
+                    for c in FACE_CORNERS[f_m])
+    return arcs
+
+
 def build_matching_system(tri, oriented=True):
     """One equation per (un)oriented arc class per face class.
 
@@ -203,7 +240,8 @@ def build_matching_system(tri, oriented=True):
     (discs on - side) - (discs on + side) = 0.  Each side meets one
     triangle and one quad column, the triangle's first; when both sides
     lie in one tetrahedron a column can meet both, and its coefficient
-    1 - 1 = 0 drops out of the sparse row.
+    1 - 1 = 0 drops out of the sparse row.  The rows follow
+    `arc_classes`, each arc's orientation +1 before -1.
     """
     t = tri.num_tets
     n = num_coords(t, oriented)
@@ -211,29 +249,21 @@ def build_matching_system(tri, oriented=True):
     offsets = _ARC_OFFSETS[oriented]
     signs = (1, -1) if oriented else (1,)
     rows = []
-    for fc, ((tet_m, f_m), (tet_p, f_p)) in enumerate(tri.face_classes):
-        # Embeddings are stored sorted, so the first is the - side.  The
-        # gluing permutation of the - side translates its corner labels to
-        # the + side.
-        g = tri.gluings[tet_m][f_m]
-        if (g.tet, g.perm[f_m]) != (tet_p, f_p):
-            raise ArithmeticError("face class %d does not match its gluing"
-                                  % fc)
+    for (tet_m, f_m, c_m), (tet_p, f_p, c_p) in arc_classes(tri):
         base_m, base_p = block * tet_m, block * tet_p
-        for corner in FACE_CORNERS[f_m]:
-            for s in signs:
-                m1, m2 = offsets[f_m, corner, s]
-                p1, p2 = offsets[f_p, g.perm[corner], s]
-                if tet_m != tet_p:
-                    # The - side's columns all precede the + side's.
-                    rows.append(((base_m + m1, 1), (base_m + m2, 1),
-                                 (base_p + p1, -1), (base_p + p2, -1)))
-                    continue
-                row = {m1: 1, m2: 1}
-                row[p1] = row.get(p1, 0) - 1
-                row[p2] = row.get(p2, 0) - 1
-                rows.append(tuple((base_m + j, a)
-                                  for j, a in sorted(row.items()) if a))
+        for s in signs:
+            m1, m2 = offsets[f_m, c_m, s]
+            p1, p2 = offsets[f_p, c_p, s]
+            if tet_m != tet_p:
+                # The - side's columns all precede the + side's.
+                rows.append(((base_m + m1, 1), (base_m + m2, 1),
+                             (base_p + p1, -1), (base_p + p2, -1)))
+                continue
+            row = {m1: 1, m2: 1}
+            row[p1] = row.get(p1, 0) - 1
+            row[p2] = row.get(p2, 0) - 1
+            rows.append(tuple((base_m + j, a)
+                              for j, a in sorted(row.items()) if a))
     return MatchingSystem(rows, n)
 
 

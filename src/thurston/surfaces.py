@@ -19,6 +19,8 @@ The reconstruction runs on the integer disc counts.  Discs are numbered
 in (tet, kind, sheet) order, so the discs of (tet, kind) have the
 consecutive ids offset[7 * tet + kind] + sheet, with offset the running
 count of the discs before them, and an arc stack is two ranges of ids.
+The arc stacks read the arcs from `coords`: the arc classes from
+`coords.arc_classes` and each arc's quad from `coords.ARC_QUADS`.
 The unoriented matching equations are the arc-stack equalities: each
 arc class of each face class has stacks of one length on its two sides.
 They are checked on the counts, before any disc is built.
@@ -29,11 +31,10 @@ from operator import mul
 
 from .chi import chi_star_row
 # Unused here; perfbench/spans.py wraps surfaces.build_matching_system.
-from .coords import (NormalVector, build_matching_system, conflicting_quads,
-                     disc_index, forget_orientation, is_admissible,
-                     num_coords, quad_arc_sign_factor, quad_kind_for_arc,
-                     vertex_linking_vector, QUAD_PAIR)
-from .triangulation import FACE_CORNERS
+from .coords import (ARC_QUADS, NormalVector, arc_classes,
+                     build_matching_system, conflicting_quads, disc_index,
+                     forget_orientation, is_admissible, num_coords,
+                     vertex_linking_vector)
 
 
 @dataclass
@@ -89,28 +90,11 @@ class NormalSurface:
                 "num_discs": len(self.discs)}
 
 
-def _arc_quad(face, corner):
-    """The quad kind whose arc in `face` cuts off `corner`, whether its
-    sheets run outward from the corner in reverse sheet order (the corner
-    lies away from the quad's named pair), and the sign relating its
-    transverse orientation to the one it induces on that arc; a
-    triangle's arc always has sign +1."""
-    qk = quad_kind_for_arc(face, corner)
-    return qk, corner not in QUAD_PAIR[qk], quad_arc_sign_factor(face, corner)
-
-
-# _arc_quad per face and corner, None where the corner is the face's own
-# (opposite) vertex.
-_ARC_QUADS = tuple(tuple(_arc_quad(face, corner) if corner != face else None
-                         for corner in range(4))
-                   for face in range(4))
-
-
 def _arc_count(counts, tet, face, corner):
     """The length of the arc stack cutting off `corner` in `face` of
     `tet`: its triangles plus its quads."""
     t = 7 * tet
-    return counts[t + corner] + counts[t + _ARC_QUADS[face][corner][0]]
+    return counts[t + corner] + counts[t + ARC_QUADS[face][corner][0]]
 
 
 def _arc_stack(counts, offset, tet, face, corner):
@@ -119,7 +103,7 @@ def _arc_stack(counts, offset, tet, face, corner):
     the quad sheets nearest or farthest first according to which side of
     the quad the corner lies on.  Returns (ids, t, eta): the first t ids
     are triangles, and eta is the arc sign of the quads that follow."""
-    qk, reverse, eta = _ARC_QUADS[face][corner]
+    qk, reverse, eta = ARC_QUADS[face][corner]
     t = 7 * tet + corner
     q = 7 * tet + qk
     quads = range(offset[q], offset[q] + counts[q])
@@ -136,10 +120,13 @@ def reconstruct_surface(tri, x):
 
     The preconditions are checked once, on the integer counts, before any
     disc is built; the matching equations are checked as the arc-stack
-    equalities.  An arc stack is a range of triangle ids followed by a
-    range of quad ids (see the module docstring), and the relative
-    orientation of two glued discs comes from the arc signs of those two
-    ranges, one per range rather than one per disc.
+    equalities, over the arc classes of `coords.arc_classes`.  An arc
+    stack is a range of triangle ids followed by a range of quad ids (see
+    the module docstring), its quad read from `coords.ARC_QUADS`, and the
+    relative orientation of two glued discs comes from the arc signs of
+    those two ranges, one per range rather than one per disc.  A face
+    class that disagrees with its gluing raises ArithmeticError, as in
+    `coords.build_matching_system`.
     """
     if x.oriented:
         raise ValueError("expected unoriented coordinates")
@@ -149,12 +136,7 @@ def reconstruct_surface(tri, x):
     counts = x.coords
     if conflicting_quads(x) is not None:
         raise ValueError("not admissible: two quad kinds share a tetrahedron")
-    # Each arc class of each face class: (tet, face, corner) on its - side,
-    # then on its + side, whose corner label the gluing translates.
-    arcs = [((tet_m, f_m, corner),
-             (tet_p, f_p, tri.gluings[tet_m][f_m].perm[corner]))
-            for (tet_m, f_m), (tet_p, f_p) in tri.face_classes
-            for corner in FACE_CORNERS[f_m]]
+    arcs = arc_classes(tri)
     if any(_arc_count(counts, *m) != _arc_count(counts, *p)
            for m, p in arcs):
         raise ValueError("matching equations violated")

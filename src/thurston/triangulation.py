@@ -393,12 +393,9 @@ def is_simplicial(tri):
         fcs = {tri.face_class[(tet, f)] for f in range(4)}
         if len(vcs) != 4 or len(ecs) != 6 or len(fcs) != 4:
             return False
-    shared = {}
-    for (t1, f1), (t2, f2) in tri.face_classes:
-        if t1 == t2:
-            return False
-        key = (min(t1, t2), max(t1, t2))
-        shared[key] = shared.get(key, 0) + 1
-        if shared[key] > 1:
-            return False
-    return True
+    # A face class with both embeddings in one tetrahedron leaves it fewer
+    # than 4 face classes, which the loop above rejects, and
+    # compute_skeleton stores the smaller embedding first: so t1 < t2, and
+    # (t1, t2) names the pair of tetrahedra sharing the face class.
+    pairs = [(t1, t2) for (t1, _), (t2, _) in tri.face_classes]
+    return len(set(pairs)) == len(pairs)

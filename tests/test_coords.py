@@ -4,15 +4,19 @@ from fractions import Fraction
 import pytest
 
 from thurston.coords import (
-    NormalVector, arc_disc_columns, build_matching_system, conflicting_quads,
+    ARC_QUADS, NormalVector, arc_classes, arc_disc_columns,
+    build_matching_system, conflicting_quads,
     disc_index, disc_of_index, forget_orientation, is_admissible, is_compatible, num_coords,
     quad_conflict_test, reverse_orientation, vertex_linking_vector,
     quad_kind_separating, QUAD_PAIR, QUAD_OPP,
 )
 from thurston.linalg import nullspace
-from thurston.fixtures import load
+from thurston.fixtures import fixture_json, load, names
+from thurston.surfaces import reconstruct_surface
 from thurston.triangulation import FACE_CORNERS, triangulation_from_json
 
+from test_homology import t3_json
+from test_normball import B1_GROWN
 from test_triangulation import load_corpus
 
 
@@ -92,6 +96,41 @@ def test_sparse_rows_are_the_dense_nonzeros():
             assert m.rows == want, text
             cancelled += sum(1 for row in m.sparse_rows if len(row) < 4)
     assert cancelled > 0
+
+
+def test_arc_classes_follow_the_face_classes():
+    """Three arcs per face class, in face-class order and by corner, and
+    the + side's corner is the gluing's image of the - side's, on every
+    fixture, B1_GROWN and T^3."""
+    tris = [load(name) for name in names()] + [
+        triangulation_from_json(text) for text in (B1_GROWN, t3_json())]
+    for tri in tris:
+        arcs = arc_classes(tri)
+        assert len(arcs) == 3 * len(tri.face_classes)
+        for fc, (minus, plus) in enumerate(tri.face_classes):
+            perm = tri.gluings[minus[0]][minus[1]].perm
+            assert arcs[3 * fc:3 * fc + 3] == [
+                (minus + (c,), plus + (perm[c],))
+                for c in FACE_CORNERS[minus[1]]]
+        assert all(ARC_QUADS[f][c] is not None
+                   for side in arcs for _, f, c in side)
+
+
+@pytest.mark.parametrize("name", names())
+def test_face_class_off_its_gluing_raises_alike(name):
+    """A face class whose + side the gluing does not reach stops the
+    matching build in both theories and the reconstruction with the same
+    ArithmeticError."""
+    tri = triangulation_from_json(fixture_json(name))
+    minus, (tet_p, f_p) = tri.face_classes[0]
+    tri.face_classes[0] = (minus, (tet_p, (f_p + 1) % 4))
+    zero = NormalVector((0,) * num_coords(tri.num_tets, False), False)
+    message = "^face class 0 does not match its gluing$"
+    for oriented in (True, False):
+        with pytest.raises(ArithmeticError, match=message):
+            build_matching_system(tri, oriented)
+    with pytest.raises(ArithmeticError, match=message):
+        reconstruct_surface(tri, zero)
 
 
 def test_vertex_linking_in_both_kernels(d2):

@@ -25,6 +25,7 @@ from thurston.surfaces import (assign_transverse_orientation,
 from thurston.triangulation import triangulation_from_json
 
 from test_linalg import bounded_lp
+from test_triangulation import simplex_boundary_json
 
 # Every (fixture, theory) whose full double description finishes within a
 # second: the oriented three_tet cone takes about 40 s.
@@ -388,6 +389,27 @@ def test_simplicial_warnings_skip_efficiency_search(monkeypatch, d2_pipe):
     monkeypatch.setattr(normball, "is_simplicial", lambda tri: True)
     monkeypatch.setattr(Pipeline, "check_zero_efficiency", unreachable)
     assert d2_pipe.hypothesis_warnings(ball) == []
+
+
+def test_simplex_boundary_is_not_zero_efficient():
+    """The simplicial 3-sphere carries a non-vertex-linking normal sphere
+    among its vertex surfaces, which `hypothesis_warnings` does not look
+    for on a simplicial triangulation."""
+    pipe = Pipeline(triangulation_from_json(simplex_boundary_json()))
+    assert pipe.check_zero_efficiency()["status"] == "counterexample"
+
+
+def test_simplicial_input_warns_without_efficiency_search(monkeypatch):
+    """On a real simplicial triangulation, with `is_simplicial` itself
+    deciding, `hypothesis_warnings` runs no 0-efficiency search, and a
+    ball with no recession classes gets no warning."""
+    def unreachable(self):
+        raise AssertionError("0-efficiency search ran")
+
+    pipe = Pipeline(triangulation_from_json(simplex_boundary_json()))
+    monkeypatch.setattr(Pipeline, "check_zero_efficiency", unreachable)
+    ball = NormBall("strict", 0, [], [], [()], [], [], None)
+    assert pipe.hypothesis_warnings(ball) == []
 
 
 # two_tet_b1 after one seeded 2-3 move (perfbench/moves.py, `grow` with

@@ -95,3 +95,16 @@ def test_benchmark_hooks_resolve():
          str(ROOT / "perfbench")],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_coords_names_the_arc_helpers():
+    """What a normal arc is, its quad kind, sheet order and sign, is
+    decided in `coords` alone: other modules read `coords.ARC_QUADS` and
+    `coords.arc_classes`, not the helpers the table is built from."""
+    helpers = re.compile(
+        r"\b(quad_kind_for_arc|quad_arc_sign_factor|QUAD_PAIR|QUAD_OPP)\b")
+    found = ["%s: %s" % (path.relative_to(ROOT), name)
+             for path in sorted(PACKAGE.rglob("*.py"))
+             if path.name != "coords.py"
+             for name in helpers.findall(path.read_text(encoding="utf-8"))]
+    assert not found, found

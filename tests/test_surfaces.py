@@ -130,6 +130,21 @@ def test_assign_orientations(d2):
     assert assign_transverse_orientation(d2, s2, both) == [1, -1]
 
 
+def test_one_sided_surface_has_no_transverse_orientation():
+    """one_tet's admissible vertex surface of one quad is a Klein bottle,
+    so neither of its oriented lifts, all of its weight on the +1 or all
+    on the -1 orientation, is realized by a transverse orientation."""
+    tri = load("one_tet")
+    s = reconstruct_surface(tri, NormalVector((0, 0, 0, 0, 0, 1, 0), False))
+    [comp] = s.components
+    assert (comp.chi, comp.orientable, comp.genus) == (0, False, None)
+    for sign in (1, -1):
+        lift = [0] * 14
+        lift[disc_index(0, 5, sign, True)] = 1
+        assert assign_transverse_orientation(
+            tri, s, NormalVector(tuple(lift), True)) is None
+
+
 def test_assign_requires_matching_projection(d2):
     s = reconstruct_surface(
         d2, forget_orientation(vertex_linking_vector(d2, 0, 1, True)))

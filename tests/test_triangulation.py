@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from thurston.cli import run
 from thurston.fixtures import fixture_json, load, names
 from thurston.triangulation import (
     InvalidTriangulation, TriangulationError, parse_triangulation,
@@ -160,6 +161,41 @@ def test_d2_not_simplicial():
     # complex even though every simplex embeds.
     tri = load("d2")
     assert not is_simplicial(tri)
+
+
+def simplex_boundary_json():
+    """The boundary of the 4-simplex, a simplicial 3-sphere: a test-only
+    input, outside `fixtures.TABLES`.
+
+    Its 5 tetrahedra are the 4-subsets of {0..4}, each with its local
+    labels in increasing order.  Each face is glued to the other
+    tetrahedron containing it, the face's three vertices to themselves and
+    the opposite vertex to the opposite vertex."""
+    tets = list(itertools.combinations(range(5), 4))
+    rows = []
+    for tet in tets:
+        (missing,) = set(range(5)) - set(tet)
+        row = []
+        for f in range(4):
+            mate = tuple(sorted(set(tet) - {tet[f]} | {missing}))
+            image = [missing if v == tet[f] else v for v in tet]
+            row.append([tets.index(mate),
+                        "".join(str(mate.index(v)) for v in image)])
+        rows.append(row)
+    return json.dumps({"tets": rows})
+
+
+def test_simplex_boundary_is_simplicial(tmp_path, capsys):
+    path = tmp_path / "simplex_boundary.json"
+    path.write_text(simplex_boundary_json())
+    assert run(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '"simplicial":true' in out
+    doc = json.loads(out)
+    assert (doc["tets"], doc["vertex_classes"], doc["edge_classes"]) == \
+        (5, 5, 10)
+    assert doc["edge_degrees"] == [3] * 10
+    assert is_simplicial(triangulation_from_json(simplex_boundary_json()))
 
 
 # The load as first written, on tuple keys and breadth-first orbits: the
