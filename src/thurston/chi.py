@@ -28,8 +28,7 @@ _KIND_EDGES = tuple(tuple(EDGE_INDEX[pair] for pair in disc_edges(kind))
 def chi_star_row(tri, oriented=True):
     """(nums, den): the functional on column i is nums[i] / den, with
     nums integers and den > 0 a common denominator of every disc's term.
-    A disc's term does not depend on its transverse orientation, so the
-    oriented row is the unoriented row with each entry repeated twice."""
+    The oriented row is `oriented_chi_row` of the unoriented one."""
     degrees = tri.degrees
     den = lcm(2, *degrees)
     nums = []
@@ -39,9 +38,16 @@ def chi_star_row(tri, oriented=True):
         for edges in _KIND_EDGES:
             nums.append(den - len(edges) * den // 2
                         + sum(corner[e] for e in edges))
-    if oriented:
-        return tuple(n for n in nums for _ in range(2)), den
-    return tuple(nums), den
+    row = tuple(nums), den
+    return oriented_chi_row(row) if oriented else row
+
+
+def oriented_chi_row(row):
+    """The oriented row of the unoriented row `row` of `chi_star_row`.  A
+    disc's term does not depend on its transverse orientation, so each
+    entry is repeated twice."""
+    nums, den = row
+    return tuple(n for n in nums for _ in range(2)), den
 
 
 def chi_star(tri, x):

@@ -24,11 +24,11 @@ sides.  The matching equations (`build_matching_system`) and the arc
 stacks of `surfaces.reconstruct_surface` both read these two.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .rat import (check_rational, exact_entries, format_vector,
                   integer_numerators, parse_vector)
+from .record import FrozenRecord, Record
 from .triangulation import FACE_CORNERS
 
 TRI_KINDS = (0, 1, 2, 3)
@@ -106,8 +106,7 @@ def disc_of_index(i, oriented=True):
     return tet, kind
 
 
-@dataclass(frozen=True)
-class NormalVector:
+class NormalVector(FrozenRecord):
     """A vector of exact rationals indexed by disc types.
 
     Each entry is held as an int when it is integral and as a Fraction
@@ -115,13 +114,16 @@ class NormalVector:
     surfaces' case, is a tuple of ints.  An int compares and hashes equal
     to the same value as a Fraction, so two vectors built from either
     form are equal.  An entry that is neither an int nor a Fraction (a
-    float, a str, a bool) raises TypeError."""
+    float, a str, a bool) raises TypeError.
 
-    coords: tuple
-    oriented: bool
+    Vectors are equal, and hash alike, when `coords` and `oriented` are;
+    they are immutable (assignment raises AttributeError)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", exact_entries(self.coords))
+    __slots__ = _fields = _compared = ("coords", "oriented")
+
+    def __init__(self, coords, oriented):
+        object.__setattr__(self, "coords", exact_entries(coords))
+        object.__setattr__(self, "oriented", oriented)
 
     def __add__(self, other):
         if self.oriented != other.oriented or \
@@ -155,8 +157,7 @@ class NormalVector:
         return cls(parse_vector(obj["coords"]), obj["oriented"])
 
 
-@dataclass
-class MatchingSystem:
+class MatchingSystem(Record):
     """Integer matching-equation matrix with its index maps.
 
     One row per arc class and (in the oriented theory) transverse
@@ -164,10 +165,16 @@ class MatchingSystem:
     (column, coefficient) pairs of row r with nonzero coefficient, by
     increasing column, at most four against 7t or 14t columns.  rows[r],
     the dense tuple of length num_cols, is built on first use.
+
+    Systems are equal when `sparse_rows` and `num_cols` are; they are
+    mutable and unhashable.
     """
 
-    sparse_rows: list
-    num_cols: int
+    _fields = _compared = ("sparse_rows", "num_cols")
+
+    def __init__(self, sparse_rows, num_cols):
+        self.sparse_rows = sparse_rows
+        self.num_cols = num_cols
 
     @cached_property
     def rows(self):

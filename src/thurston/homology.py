@@ -16,12 +16,12 @@ make the choice of face immaterial on the matching kernel; tests assert
 this rather than assuming it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import arc_disc_columns, num_coords
 from .linalg import nullspace, rank_int, rref, solve_linear
 from .rat import primitive_integer_vector
+from .record import Record
 from .triangulation import EDGES, EDGE_INDEX, FACE_CORNERS
 
 
@@ -126,20 +126,26 @@ def edge_intersection_matrix(tri):
     return rows
 
 
-@dataclass
-class HomologyMap:
+class HomologyMap(Record):
     """The cochain complex (d0, d1), its H^1 basis with the coordinate
     projection, the edge intersection matrix Z, and their product: the
     b rows of length 14t mapping oriented disc coordinates to H^1 basis
-    coordinates, valid on the oriented matching kernel."""
+    coordinates, valid on the oriented matching kernel.
 
-    d0: list
-    d1: list
-    basis: list
-    projection_rows: list
-    edge_rows: list
-    rows: list
-    b: int
+    Maps are equal when all seven fields are; they are mutable and
+    unhashable."""
+
+    __slots__ = _fields = _compared = ("d0", "d1", "basis", "projection_rows",
+                                       "edge_rows", "rows", "b")
+
+    def __init__(self, d0, d1, basis, projection_rows, edge_rows, rows, b):
+        self.d0 = d0
+        self.d1 = d1
+        self.basis = basis
+        self.projection_rows = projection_rows
+        self.edge_rows = edge_rows
+        self.rows = rows
+        self.b = b
 
     def class_of(self, x):
         if not x.oriented:

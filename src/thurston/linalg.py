@@ -13,12 +13,13 @@ Fractions.  A caller that scales its rows to integers once saves the
 solver that work on every call.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import total_ordering
 from math import lcm
 from operator import add, itemgetter, neg, sub
 
 from .rat import check_rational, integer_numerators, normalize_int_vector
+from .record import FrozenRecord, Record
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +136,29 @@ def solve_linear(rows, rhs):
 # rays and the double description method
 
 
-@dataclass(frozen=True, order=True)
-class Ray:
+@total_ordering
+class Ray(FrozenRecord):
     """An extreme ray with coprime nonnegative integer coordinates.
 
     `mask` is the support as a bitmask, bit i for a nonzero coordinate i.
     The double description hands over the masks it built; when none is
     given, it is read off the coordinates.  Rays compare, order and hash
-    by their coordinates only."""
+    by their coordinates only, and are immutable (assignment raises
+    AttributeError)."""
 
-    coords: tuple
-    mask: int = field(default=None, compare=False)
+    __slots__ = _fields = ("coords", "mask")
+    _compared = ("coords",)
 
-    def __post_init__(self):
-        if self.mask is None:
-            object.__setattr__(self, "mask", sum(
-                1 << i for i, x in enumerate(self.coords) if x))
+    def __init__(self, coords, mask=None):
+        if mask is None:
+            mask = sum(1 << i for i, x in enumerate(coords) if x)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "mask", mask)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords < other.coords
+        return NotImplemented
 
     @property
     def support(self):
@@ -163,12 +171,17 @@ class Ray:
         return cls(normalize_int_vector(v))
 
 
-@dataclass(frozen=True)
-class ConeDescription:
-    """The cone {x >= 0 : Ax = 0} with integer equation rows."""
+class ConeDescription(FrozenRecord):
+    """The cone {x >= 0 : Ax = 0} with integer equation rows.
 
-    rows: tuple
-    dim: int
+    Cones are equal, and hash alike, when `rows` and `dim` are; they are
+    immutable (assignment raises AttributeError)."""
+
+    __slots__ = _fields = _compared = ("rows", "dim")
+
+    def __init__(self, rows, dim):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "dim", dim)
 
 
 # Masks per packed block of the adjacency count (enumerate_extreme_rays).
@@ -374,8 +387,7 @@ def is_extreme_ray(cone, coords):
 # exact linear programming (two-phase simplex, Bland's rule)
 
 
-@dataclass
-class LpResult:
+class LpResult(Record):
     """Outcome of solve_lp.  status is "optimal", "infeasible" or
     "unbounded".  value, x and dual are exact Fractions.
 
@@ -390,12 +402,18 @@ class LpResult:
     solver, but a caller cannot check y against its own system.  For
     infeasible results dual is a Farkas certificate y over the caller's
     rows: y.A >= 0 on every column and y.b < 0, both verified exactly.
-    Unbounded results carry neither."""
+    Unbounded results carry neither.
 
-    status: str
-    value: Fraction = None
-    x: tuple = None
-    dual: tuple = None
+    Results are equal when all four fields are; they are mutable and
+    unhashable."""
+
+    __slots__ = _fields = _compared = ("status", "value", "x", "dual")
+
+    def __init__(self, status, value=None, x=None, dual=None):
+        self.status = status
+        self.value = value
+        self.x = x
+        self.dual = dual
 
     @property
     def optimal(self):

@@ -10,12 +10,12 @@ directions, whose homology classes certify a failed atoroidality
 hypothesis when nonzero.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 
-from .chi import chi_star_row
+from .chi import chi_star_row, oriented_chi_row
 from .coords import (NormalVector, build_matching_system, forget_orientation,
                      num_coords, quad_conflict_test, vertex_linking_vector)
 from .homology import homology_map_matrix
@@ -23,6 +23,7 @@ from .linalg import (ConeDescription, enumerate_extreme_rays,
                      remove_redundant_points, rref, solve_lp)
 from .rat import (check_rational, integer_numerators,
                   primitive_integer_vector)
+from .record import FrozenRecord, Record
 from .surfaces import assign_transverse_orientation, reconstruct_surface
 from .triangulation import is_simplicial
 
@@ -37,20 +38,27 @@ class DegenerateNormBall(NormBallError):
     hypotheses and the strict variant was used."""
 
 
-@dataclass(frozen=True)
-class ProjectiveVertex:
+class ProjectiveVertex(FrozenRecord):
     """An extreme point of the projective solution space, tagged with its
     Euler functional value and admissibility.
 
     It keeps the extreme ray's coprime integer coordinates `ray` and their
     sum `total`; `coords`, the point with coordinates summing to one
-    (ray / total, as Fractions), is built on first access only."""
+    (ray / total, as Fractions), is built on first access only.
 
-    ray: tuple
-    total: int
-    support: frozenset = field(compare=False)
-    chi: Fraction = field(compare=False)
-    admissible: bool = field(compare=False)
+    Vertices are equal, and hash alike, when `ray` and `total` are; the
+    tags take no part.  They are immutable (assignment raises
+    AttributeError)."""
+
+    _fields = ("ray", "total", "support", "chi", "admissible")
+    _compared = ("ray", "total")
+
+    def __init__(self, ray, total, support, chi, admissible):
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "admissible", admissible)
 
     @cached_property
     def coords(self):
@@ -58,16 +66,26 @@ class ProjectiveVertex:
         return tuple(Fraction(c, total) if c else _ZERO for c in self.ray)
 
 
-@dataclass
-class NormBall:
-    variant: str
-    b: int
-    basis: list
-    B_vertices: list
-    ball_vertices: list
-    recession_vertices: list
-    recession_classes: list
-    hmap: object
+class NormBall(Record):
+    """The computed unit ball of one variant in H^1 basis coordinates,
+    with the B vertices and recession vertices it was built from.  Balls
+    are equal when all eight fields are; they are mutable and
+    unhashable."""
+
+    __slots__ = _fields = _compared = (
+        "variant", "b", "basis", "B_vertices", "ball_vertices",
+        "recession_vertices", "recession_classes", "hmap")
+
+    def __init__(self, variant, b, basis, B_vertices, ball_vertices,
+                 recession_vertices, recession_classes, hmap):
+        self.variant = variant
+        self.b = b
+        self.basis = basis
+        self.B_vertices = B_vertices
+        self.ball_vertices = ball_vertices
+        self.recession_vertices = recession_vertices
+        self.recession_classes = recession_classes
+        self.hmap = hmap
 
 
 _ZERO = Fraction(0)
@@ -111,8 +129,10 @@ class Pipeline:
     def chi_row(self):
         """Per theory (keyed by `oriented`), the Euler functional as
         `chi_star_row` gives it: integer numerators over one common
-        denominator."""
-        return {o: chi_star_row(self.tri, o) for o in (True, False)}
+        denominator.  The oriented row is read off the unoriented one
+        (`oriented_chi_row`), so the tetrahedra are walked once."""
+        row = chi_star_row(self.tri, oriented=False)
+        return {True: oriented_chi_row(row), False: row}
 
     @cached_property
     def hmap(self):
@@ -157,8 +177,7 @@ class Pipeline:
         for ray in rays:
             coords = ray.coords
             total = sum(coords)
-            chi = Fraction(sum(nums[i] * coords[i] for i in ray.support),
-                           den * total)
+            chi = Fraction(sum(map(mul, nums, coords)), den * total)
             verts.append(ProjectiveVertex(coords, total, ray.support, chi,
                                           not conflict(ray.mask)))
         return verts
@@ -179,7 +198,7 @@ class Pipeline:
             if conflict(ray.mask):
                 continue
             c = ray.coords
-            p = sum(nums[i] * c[i] for i in ray.support)
+            p = sum(map(mul, nums, c))
             if p < 0:
                 bverts.append(tuple(Fraction(ci * den, -p) for ci in c))
             elif p == 0 and variant == "le":
@@ -377,8 +396,7 @@ class Pipeline:
                  for vc in range(len(self.tri.vertex_classes))}
         for ray in rays:
             c = ray.coords
-            if sum(nums[i] * c[i] for i in ray.support) != 2 * den \
-                    or c in links:
+            if sum(map(mul, nums, c)) != 2 * den or c in links:
                 continue
             x = NormalVector(c, False)
             surface = reconstruct_surface(self.tri, x)
@@ -418,12 +436,19 @@ class Pipeline:
         return warnings
 
 
-@dataclass
-class TautRepresentative:
-    coords: NormalVector
-    surface: object
-    chi: Fraction
-    weight: int
+class TautRepresentative(Record):
+    """A taut representative found by `Pipeline.find_taut_representative`:
+    its oriented coordinates, its surface (None for the zero class), its
+    Euler functional and its weight.  Representatives are equal when all
+    four fields are; they are mutable and unhashable."""
+
+    __slots__ = _fields = _compared = ("coords", "surface", "chi", "weight")
+
+    def __init__(self, coords, surface, chi, weight):
+        self.coords = coords
+        self.surface = surface
+        self.chi = chi
+        self.weight = weight
 
 
 def evaluate_norm(ball, c):

@@ -26,7 +26,6 @@ arc class of each face class has stacks of one length on its two sides.
 They are checked on the counts, before any disc is built.
 """
 
-from dataclasses import dataclass, field
 from operator import mul
 
 from .chi import chi_star_row
@@ -35,31 +34,46 @@ from .coords import (ARC_QUADS, NormalVector, arc_classes,
                      build_matching_system, conflicting_quads, disc_index,
                      forget_orientation, is_admissible, num_coords,
                      vertex_linking_vector)
+from .record import Record
 
 
-@dataclass
-class SurfaceComponent:
-    discs: list                  # indices into NormalSurface.discs
-    chi: int
-    orientable: bool             # equivalently 2-sided, M being orientable
-    vertex_linking: bool
-    vertex_class: int = None
-    genus: int = None
+class SurfaceComponent(Record):
+    """One connected component of a NormalSurface.  Components are equal
+    when all six fields are; they are mutable and unhashable."""
+
+    __slots__ = _fields = _compared = ("discs", "chi", "orientable",
+                                       "vertex_linking", "vertex_class",
+                                       "genus")
+
+    def __init__(self, discs, chi, orientable, vertex_linking,
+                 vertex_class=None, genus=None):
+        self.discs = discs              # indices into NormalSurface.discs
+        self.chi = chi
+        self.orientable = orientable    # equivalently 2-sided, M orientable
+        self.vertex_linking = vertex_linking
+        self.vertex_class = vertex_class
+        self.genus = genus
 
 
-@dataclass
-class NormalSurface:
+class NormalSurface(Record):
     """The reconstructed surface: its discs, arc gluings and components.
 
     discs[i] = (tet, kind, sheet); gluings are 5-tuples
     (disc_a, face_a, disc_b, face_b, rel) where rel is the relative
-    transverse orientation of the two discs across the glued arc.
+    transverse orientation of the two discs across the glued arc.  A
+    surface built without `components` gets an empty list of its own.
+
+    Surfaces are equal when `x`, `discs`, `gluings` and `components` are;
+    they are mutable and unhashable.
     """
 
-    x: NormalVector
-    discs: list
-    gluings: list
-    components: list = field(default_factory=list)
+    _fields = _compared = ("x", "discs", "gluings", "components")
+
+    def __init__(self, x, discs, gluings, components=None):
+        self.x = x
+        self.discs = discs
+        self.gluings = gluings
+        self.components = [] if components is None else components
 
     @property
     def total_chi(self):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from thurston.cli import run
 from thurston.coords import NormalVector, vertex_linking_vector
 from thurston.fixtures import fixture_json, load, names
 from thurston.homology import homology_map_matrix
+from thurston.normball import Pipeline, TautRepresentative
 from thurston.rat import parse_fraction, primitive_integer_vector
 from thurston.surfaces import reconstruct_surface
 from thurston.triangulation import triangulation_from_json
@@ -421,6 +423,32 @@ def test_representative_not_found(tmp_path, capsys):
     code, out = _run(capsys, ["representative", str(path), "--class", "1",
                               "--max-weight", "4"])
     assert (code, out) == (0, '{"found":false,"max_weight":4}\n')
+
+
+def test_representative_prints_the_found_surface(monkeypatch, tmp_path,
+                                                capsys):
+    """The `found` branch with a surface: the search is patched to return
+    twice a class-0 B vertex of the grown two_tet_b1, an orientable
+    surface of weight 8 and chi -2, and `representative` prints its
+    coordinates, weight, Euler functional and surface report."""
+    pipe = Pipeline(triangulation_from_json(B1_GROWN))
+    x = next(x for x in (NormalVector(tuple(2 * c for c in v), True)
+                         for v in pipe.norm_ball("strict").B_vertices)
+             if pipe.hmap.class_of(x) == (0,))
+    surface = pipe._try_representative(x)
+    assert surface is not None and surface.total_chi == -2
+    rep = TautRepresentative(x, surface, Fraction(-2), sum(x.coords))
+    monkeypatch.setattr(Pipeline, "find_taut_representative",
+                        lambda self, alpha, w_max: rep)
+    path = tmp_path / "b1_grown.json"
+    path.write_text(B1_GROWN)
+    code, out = _run(capsys, ["representative", str(path), "--class", "1",
+                              "--max-weight", "8"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["found"] is True and doc["weight"] == 8
+    assert doc["coords"] == x.to_json_obj() and doc["chi_star"] == "-2/1"
+    assert doc["surface"] == surface.report()
 
 
 def test_representative_degenerate_exit_2(paths, capsys):

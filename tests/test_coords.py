@@ -284,6 +284,11 @@ def test_normal_vector_entries_are_ints_exactly_when_integral():
     assert [type(c) for c in x.scale(Fraction(2)).coords] == [int] * 5
     assert (x + y).coords == (4, 6, 1, 0, -10)
     assert all(type(c) is int for c in (x + y).coords)
+    assert x != NormalVector(x.coords, True)
+    for name in ("coords", "oriented"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, y.coords)
+    assert NormalVector(coords=(1,), oriented=True).coords == (1,)
 
 
 @pytest.mark.parametrize("entry", [1.0, 0.5, "1", True, False, None])

@@ -15,7 +15,7 @@ import thurston.linalg as linalg
 from thurston.coords import build_matching_system, quad_conflict_test
 from thurston.fixtures import load, names
 from thurston.linalg import (
-    ConeDescription, Ray, enumerate_extreme_rays, in_convex_hull,
+    ConeDescription, LpResult, Ray, enumerate_extreme_rays, in_convex_hull,
     is_extreme_ray, nullspace, rank_int,
     remove_redundant_points, rref, solve_linear, solve_lp,
 )
@@ -301,6 +301,37 @@ def test_ray_mask_is_not_compared():
     assert Ray((0, 2, 3), 0) == r and hash(Ray((0, 2, 3), 0)) == hash(r)
     assert not Ray((0, 2, 3), 0) < r and not r < Ray((0, 2, 3), 0)
     assert Ray((0, 2, 3)) < Ray((1, 0, 0), 0)
+    assert Ray((0, 2, 3), 0) <= r <= Ray((0, 2, 3), 7) and r >= r
+    assert Ray((1, 0, 0)) > r and Ray((1, 0)) != Ray((0, 1))
+    assert sorted([Ray((1, 0)), Ray((0, 1), 5)]) == [Ray((0, 1)), Ray((1, 0))]
+    assert r != (0, 2, 3) and repr(r) == "Ray(coords=(0, 2, 3), mask=6)"
+    with pytest.raises(TypeError):
+        r < (0, 2, 3)
+    for name in ("coords", "mask"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+    assert r.coords == (0, 2, 3) and r.mask == 0b110
+
+
+def test_cone_and_lp_result_fields():
+    """A cone is an immutable value, built by position or by keyword; an
+    LP result takes `status` alone, compares field by field and is
+    unhashable."""
+    cone = ConeDescription(rows=((1, -1),), dim=2)
+    assert cone == ConeDescription(((1, -1),), 2)
+    assert hash(cone) == hash(ConeDescription(((1, -1),), 2))
+    assert cone != ConeDescription(((1, -1),), 3)
+    for name in ("rows", "dim"):
+        with pytest.raises(AttributeError):
+            setattr(cone, name, ())
+    res = LpResult("infeasible")
+    assert (res.status, res.value, res.x, res.dual) == \
+        ("infeasible", None, None, None)
+    assert not res.optimal and LpResult("optimal", 1).optimal
+    assert res == LpResult("infeasible", None, None, None)
+    assert res != LpResult("infeasible", dual=(1,))
+    with pytest.raises(TypeError):
+        hash(res)
 
 
 def test_row_values_match_dot_product():

@@ -10,16 +10,17 @@ from functools import cache
 import pytest
 
 import thurston
+import thurston.cli as cli
 import thurston.linalg as linalg
 import thurston.normball as normball
-from thurston.chi import chi_star
+from thurston.chi import chi_star, chi_star_row
 from thurston.coords import NormalVector, forget_orientation, \
     is_admissible, quad_conflict_test, vertex_linking_vector
-from thurston.fixtures import load, names
+from thurston.fixtures import fixture_json, load, names
 from thurston.linalg import (enumerate_extreme_rays, is_extreme_ray,
                              remove_redundant_points, solve_lp)
 from thurston.normball import (DegenerateNormBall, NormBall, NormBallError,
-                               Pipeline, evaluate_norm)
+                               Pipeline, ProjectiveVertex, evaluate_norm)
 from thurston.surfaces import (assign_transverse_orientation,
                               reconstruct_surface)
 from thurston.triangulation import triangulation_from_json
@@ -373,6 +374,30 @@ def test_zero_efficiency_reports():
     assert b1["status"] == "counterexample"
 
 
+@pytest.mark.parametrize("name", names())
+def test_efficiency_builds_the_euler_row_once(monkeypatch, tmp_path,
+                                              capsys, name):
+    """The `efficiency` command's pipeline walks the tetrahedra for the
+    Euler row once, for the unoriented row, and reads its oriented row
+    off that one, equal to `chi_star_row`'s."""
+    calls = []
+
+    def counted(tri, oriented=True):
+        calls.append(oriented)
+        return chi_star_row(tri, oriented)
+
+    monkeypatch.setattr(normball, "chi_star_row", counted)
+    path = tmp_path / (name + ".json")
+    path.write_text(fixture_json(name))
+    assert cli.run(["efficiency", str(path)]) == 0
+    assert '"status"' in capsys.readouterr().out
+    assert calls == [False]
+    pipe = Pipeline(load(name))
+    assert pipe.chi_row[True] == chi_star_row(pipe.tri, True)
+    assert pipe.chi_row[False] == chi_star_row(pipe.tri, False)
+    assert calls == [False, False]
+
+
 def test_hypothesis_warnings_on_d2(d2_pipe):
     ball = d2_pipe.norm_ball("strict")
     warnings = d2_pipe.hypothesis_warnings(ball)
@@ -512,15 +537,23 @@ def test_filtered_rays_three_tet_oriented():
 def test_projective_vertex_keeps_its_integer_ray(name, oriented):
     """A vertex holds its coprime integer ray and the ray's sum; its
     sum-one coordinates are ray / total as Fractions, and two vertices
-    are equal exactly when their rays are."""
+    are equal exactly when their rays are: the tags take no part.  A
+    vertex is immutable."""
     pipe = _pipe(name)
     rays = pipe.oriented_rays if oriented else pipe.unoriented_rays
     verts = pipe.enumerate_vertices(oriented)
     for r, v in zip(rays, verts):
         assert v.ray == r.coords and v.total == sum(r.coords)
+        assert v.support == r.support
         assert "coords" not in vars(v)
         assert v.coords == tuple(Fraction(c, v.total) for c in r.coords)
         assert all(type(c) is Fraction for c in v.coords)
+        other = ProjectiveVertex(v.ray, v.total, frozenset(), v.chi + 1,
+                                 not v.admissible)
+        assert other == v and hash(other) == hash(v)
+        for field in ("ray", "total", "chi", "admissible"):
+            with pytest.raises(AttributeError):
+                setattr(v, field, None)
     assert len(set(verts)) == len(verts)
 
 

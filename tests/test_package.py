@@ -4,7 +4,9 @@ src, tests, perfbench or pyproject.toml outside its own definition.  A
 word-boundary search stands in for a call graph: a name mentioned only
 where it is defined is dead code.  The benchmark's hooks into the package,
 which it looks up by name, must also keep resolving, and no module uses
-`assert`, which python -O strips, for a check."""
+`assert`, which python -O strips, for a check.  The package's classes
+are plain classes, so a cold start loads neither `dataclasses` nor
+`inspect`."""
 
 import ast
 import re
@@ -108,3 +110,37 @@ def test_only_coords_names_the_arc_helpers():
              if path.name != "coords.py"
              for name in helpers.findall(path.read_text(encoding="utf-8"))]
     assert not found, found
+
+
+def test_no_module_imports_dataclasses():
+    """The record classes share `record.Record`'s field-wise methods
+    instead of generating them at import."""
+    found = ["%s:%d" % (path.relative_to(ROOT), node.lineno)
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Import) and any(
+                 a.name.split(".")[0] == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "dataclasses"]
+    assert not found, found
+
+
+def test_cold_start_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter (no site hooks) that imports `thurston.cli` and
+    every module the benchmark worker imports has not loaded
+    `dataclasses` or `inspect`, which cost each process start several
+    milliseconds."""
+    worker = (ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8")
+    imports = [ast.get_source_segment(worker, node)
+               for node in ast.parse(worker).body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    script = "\n".join(["import sys", "sys.path[:0] = sys.argv[1:]",
+                        "import thurston.cli", *imports,
+                        "print(sorted({'dataclasses', 'inspect'}"
+                        " & set(sys.modules)))"])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(ROOT / "src"),
+         str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

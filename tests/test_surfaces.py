@@ -286,6 +286,20 @@ def _reference_reconstruct(tri, x):
     return surface
 
 
+def test_surfaces_never_share_a_components_list():
+    """A surface built without components gets a list of its own; surfaces
+    compare field by field and are unhashable."""
+    x = NormalVector((0,) * 7, False)
+    a, b = NormalSurface(x, [], []), NormalSurface(x, [], [])
+    assert a.components == [] and a.components is not b.components
+    a.components.append(SurfaceComponent([0], 2, True, True, 0, 0))
+    assert b.components == [] and a != b
+    b.components.append(SurfaceComponent([0], 2, True, True, 0, 0))
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def _reference_vertex_linking(tri, discs, ids):
     corners = set()
     for i in ids:
